@@ -15,15 +15,11 @@ from .bp_engine import (
     update_message,
 )
 from .cost_volume import (
-    ALL,
     CostVolume,
     NccParams,
     build_cost_volume,
     downsample_volume,
-    dump_cost_volume,
-    load_cost_volume,
     ncc_score,
-    prune_candidates,
 )
 from .evaluation import (
     EvalReport,

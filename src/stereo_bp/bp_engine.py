@@ -124,8 +124,6 @@ def update_message(x, y, direction, volume, fld, params):
     opposite = {FROM_LEFT: FROM_RIGHT, FROM_RIGHT: FROM_LEFT,
                 FROM_UP: FROM_DOWN, FROM_DOWN: FROM_UP}[direction]
     h = volume.costs[y, x] + fld.prev[:, y, x].sum(axis=0) - fld.prev[opposite, y, x]
-    if volume.candidates is not None:
-        h = np.where(volume.candidates[y, x], h, np.inf)
     return _minconv_truncated_linear(h, params.slope, params.truncation)
 
 
@@ -145,15 +143,9 @@ def sweep(volume, fld, mask, config):
     total_in = prev.sum(axis=0)
     # h toward q = data + all incoming except the one that came from q
     base = volume.costs + total_in
-    if volume.candidates is not None:
-        inadmissible = ~volume.candidates
-    else:
-        inadmissible = None
 
     def outgoing(exclude_slot):
         h = base - prev[exclude_slot]
-        if inadmissible is not None:
-            h = np.where(inadmissible, np.inf, h)
         return _minconv_truncated_linear(h, params.slope, params.truncation)
 
     cur[...] = prev  # skipped pixels keep their previous outgoing messages

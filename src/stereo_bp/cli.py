@@ -6,40 +6,27 @@ Subcommands:
   eval   score a disparity PGM against a ground-truth PGM
   synth  write a reproducible stereogram triple (left, right, truth)
 
-An optional key=value config file can pre-set any flag; explicit flags win.
+`match --config FILE` reads `key = value` lines whose keys are match's long
+flag names (dashes or underscores) and whose values are parsed as the flag
+would parse them; `trace` takes true or false. Explicit flags win.
 """
 
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 
 from . import evaluation, pixmap_io
 from .bp_engine import BpConfig, Schedule, SmoothnessParams, labeling_energy
-from .cost_volume import ALL, NccParams, build_cost_volume
+from .cost_volume import NccParams, build_cost_volume
 from .hierarchy import PyramidConfig, run_hierarchical
 
 
-def _default_threads():
-    env = os.environ.get("STEREO_BP_THREADS")
-    if env is not None:
-        return env
-    return "auto"
-
-
-def _resolve_threads(value):
-    if value == "auto":
-        return os.cpu_count() or 1
-    n = int(value)
-    if n < 1:
-        raise ValueError(f"thread count must be >= 1, got {n}")
-    return n
-
-
-def _load_config_file(path):
+def _load_config_file(path, parser):
     """Parse a key=value file (TOML-flavored: comments, blank lines, and
-    quoted strings tolerated). Keys mirror the long flag names."""
+    quoted strings tolerated) into defaults for `parser`. Keys mirror its
+    long flag names; a flag that takes no value takes true or false."""
+    actions = {a.dest: a for a in parser._actions if a.dest not in ("help", "config")}
     values = {}
     with open(path) as fp:
         for lineno, line in enumerate(fp, 1):
@@ -49,11 +36,19 @@ def _load_config_file(path):
             if "=" not in line:
                 raise ValueError(f"{path}:{lineno}: expected key=value")
             key, val = (part.strip() for part in line.split("=", 1))
-            values[key.replace("-", "_")] = val.strip("\"'")
+            key, val = key.replace("-", "_"), val.strip("\"'")
+            if key not in actions:
+                raise ValueError(f"unknown config key: {key}")
+            if actions[key].nargs == 0:  # store_true: argparse cannot convert it
+                if val.lower() not in ("true", "false"):
+                    raise ValueError(f"{path}:{lineno}: {key} must be true or false")
+                val = val.lower() == "true"
+            values[key] = val
     return values
 
 
 def build_parser():
+    """Returns (parser, match_subparser)."""
     parser = argparse.ArgumentParser(
         prog="stereo-bp",
         description="Dense stereo matching with NCC costs and hierarchical BP",
@@ -73,14 +68,10 @@ def build_parser():
     m.add_argument("--epsilon", type=float, default=1e-3)
     m.add_argument("--schedule", choices=["full", "fast"], default="fast")
     m.add_argument("--window", type=int, default=2, help="NCC window radius")
-    m.add_argument("--topk", type=int, default=0,
-                   help="candidate-set width; 0 keeps all disparities")
     m.add_argument("--disp-scale", type=int, default=8)
     m.add_argument("--threshold", type=float, default=1.0)
     m.add_argument("--border", type=int, default=None,
                    help="excluded left columns when scoring (default max-disp)")
-    m.add_argument("--threads", default=_default_threads())
-    m.add_argument("--seed", type=int, default=0)
     m.add_argument("--trace", action="store_true")
 
     e = sub.add_parser("eval", help="score a disparity map against ground truth")
@@ -99,42 +90,25 @@ def build_parser():
     s.add_argument("--out-left", required=True)
     s.add_argument("--out-right", required=True)
     s.add_argument("--out-truth", required=True)
-    return parser
-
-
-def _apply_config_file(args, parser):
-    if getattr(args, "config", None):
-        file_values = _load_config_file(args.config)
-        defaults = {a.dest: a.default for a in parser._actions}
-        for key, val in file_values.items():
-            if not hasattr(args, key):
-                raise ValueError(f"unknown config key: {key}")
-            # a flag given on the command line (non-default) wins
-            if getattr(args, key) == defaults.get(key):
-                cur = defaults.get(key)
-                if isinstance(cur, bool):
-                    setattr(args, key, val.lower() in ("1", "true", "yes"))
-                elif isinstance(cur, int):
-                    setattr(args, key, int(val))
-                elif isinstance(cur, float):
-                    setattr(args, key, float(val))
-                else:
-                    setattr(args, key, val)
-    return args
+    return parser, m
 
 
 def cmd_match(args):
+    if args.disp_scale < 1:
+        raise ValueError(f"--disp-scale must be >= 1, got {args.disp_scale}")
+    top_gray = (args.max_disp - 1) * args.disp_scale
+    if top_gray > 255:
+        raise ValueError(
+            f"--max-disp {args.max_disp} at --disp-scale {args.disp_scale} "
+            f"encodes disparity {args.max_disp - 1} as {top_gray}, above 255"
+        )
     left = pixmap_io.read_pgm(args.left)
     right = pixmap_io.read_pgm(args.right)
-    _resolve_threads(args.threads)  # validated once; the sweep is sequential
 
-    ncc = NccParams(
-        window_radius=args.window,
-        candidate_count=ALL if args.topk == 0 else args.topk,
-    )
+    ncc = NccParams(window_radius=args.window)
     volume = build_cost_volume(left, right, args.max_disp, ncc)
     if args.sweeps is not None:
-        sweeps = [int(s) for s in str(args.sweeps).split(",")]
+        sweeps = [int(s) for s in args.sweeps.split(",")]
     else:
         sweeps = [10] * (args.scales - 1) + [20] if args.scales > 1 else [20]
     bp = BpConfig(epsilon=args.epsilon, schedule=Schedule(args.schedule),
@@ -142,7 +116,7 @@ def cmd_match(args):
     pyramid = PyramidConfig(scale_count=args.scales, sweeps_per_scale=sweeps, bp=bp)
 
     disparity, trace = run_hierarchical(volume, pyramid)
-    disparity.scale_factor = args.disp_scale
+    disparity = pixmap_io.DisparityMap(disparity.labels, scale_factor=args.disp_scale)
     pixmap_io.write_pgm(disparity, args.out)
 
     if args.trace:
@@ -181,19 +155,24 @@ def cmd_synth(args):
     left, right, truth = evaluation.make_stereogram(
         args.width, args.height, args.shift, args.seed
     )
-    truth.scale_factor = args.disp_scale
+    truth = pixmap_io.DisparityMap(truth.labels, scale_factor=args.disp_scale)
+    # truth first: its encoding can overflow, and then nothing is written
+    pixmap_io.write_pgm(truth, args.out_truth)
     pixmap_io.write_pgm(left, args.out_left)
     pixmap_io.write_pgm(right, args.out_right)
-    pixmap_io.write_pgm(truth, args.out_truth)
     return 0
 
 
 def main(argv=None):
-    parser = build_parser()
+    parser, match = build_parser()
     args = parser.parse_args(argv)
     handlers = {"match": cmd_match, "eval": cmd_eval, "synth": cmd_synth}
     try:
-        args = _apply_config_file(args, parser)
+        if getattr(args, "config", None):
+            # file values become match's defaults: argparse converts them
+            # like flags, and flags given in argv still win
+            match.set_defaults(**_load_config_file(args.config, match))
+            args = parser.parse_args(argv)
         return handlers[args.command](args)
     except (OSError, ValueError) as err:
         print(f"stereo-bp: {err}", file=sys.stderr)

@@ -1,4 +1,4 @@
-"""NCC matching-cost volume construction and sparse candidate pruning.
+"""NCC matching-cost volume construction and 2x2 coarsening.
 
 The data term for matching left pixel (x, y) at disparity d is
 min(lambda_d * (1 - NCC), tau_d), computed over (2r+1)^2 windows centered
@@ -9,14 +9,11 @@ tau_d at that disparity, which is neutral for the optimization.
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass
 
 import numpy as np
 
 from .pixmap_io import GrayImage
-
-ALL = None  # candidate_count sentinel: keep every disparity
 
 
 @dataclass
@@ -24,25 +21,20 @@ class NccParams:
     window_radius: int = 2
     data_weight: float = 1.0  # lambda_d: scales (1 - NCC) into energy units
     data_truncation: float = 1.0  # tau_d: cap on the data cost
-    candidate_count: int | None = ALL  # top-k pruning width, or ALL
 
     def __post_init__(self):
         if self.window_radius < 1:
             raise ValueError("window_radius must be >= 1")
         if self.data_weight <= 0 or self.data_truncation <= 0:
             raise ValueError("data_weight and data_truncation must be > 0")
-        if self.candidate_count is not ALL and self.candidate_count < 1:
-            raise ValueError("candidate_count must be >= 1 or ALL")
 
 
 @dataclass
 class CostVolume:
-    """Per-pixel, per-disparity matching costs, optionally with a sparse
-    per-pixel candidate set (boolean admissibility mask over disparities)."""
+    """Per-pixel matching costs over every disparity in [0, levels)."""
 
     costs: np.ndarray  # (height, width, levels) float64, in [0, cost_cap]
     cost_cap: float  # tau_d used to build/truncate this volume
-    candidates: np.ndarray | None = None  # (height, width, levels) bool
 
     def __post_init__(self):
         self.costs = np.asarray(self.costs, dtype=np.float64)
@@ -50,12 +42,6 @@ class CostVolume:
             raise ValueError("costs must be (height, width, levels)")
         if not np.all(np.isfinite(self.costs)) or self.costs.min() < 0:
             raise ValueError("costs must be finite and non-negative")
-        if self.candidates is not None:
-            self.candidates = np.asarray(self.candidates, dtype=bool)
-            if self.candidates.shape != self.costs.shape:
-                raise ValueError("candidate mask shape must match costs")
-            if not self.candidates.any(axis=2).all():
-                raise ValueError("every pixel needs a non-empty candidate set")
 
     @property
     def height(self):
@@ -143,32 +129,12 @@ def build_cost_volume(left, right, levels, params):
             ncc = np.clip(ncc, -1.0, 1.0)
             costs[r : r + ih, r + d : w - r, d] = np.minimum(lam * (1.0 - ncc), tau)
 
-    volume = CostVolume(costs, cost_cap=tau)
-    if params.candidate_count is not ALL:
-        volume = prune_candidates(volume, params.candidate_count)
-    return volume
-
-
-def prune_candidates(volume, k):
-    """Keep each pixel's k lowest-cost disparities (ties toward smaller d)
-    and raise all other costs to the volume's truncation cap. k = ALL or
-    k = L returns the volume unchanged."""
-    levels = volume.levels
-    if k is ALL or k == levels:
-        return volume
-    if not 1 <= k <= levels:
-        raise ValueError(f"candidate count {k} outside [1, {levels}]")
-    order = np.argsort(volume.costs, axis=2, kind="stable")
-    keep = np.zeros(volume.costs.shape, dtype=bool)
-    np.put_along_axis(keep, order[:, :, :k], True, axis=2)
-    costs = np.where(keep, volume.costs, volume.cost_cap)
-    return CostVolume(costs, cost_cap=volume.cost_cap, candidates=keep)
+    return CostVolume(costs, cost_cap=tau)
 
 
 def downsample_volume(volume):
     """Coarsen by summing costs over 2x2 blocks (ceil-halved dimensions,
-    same disparity range). Candidate sets are dropped: coarse levels run
-    dense."""
+    same disparity range)."""
     h, w, levels = volume.costs.shape
     ch, cw = (h + 1) // 2, (w + 1) // 2
     padded = np.zeros((2 * ch, 2 * cw, levels), dtype=np.float64)
@@ -176,17 +142,3 @@ def downsample_volume(volume):
     coarse = padded.reshape(ch, 2, cw, 2, levels).sum(axis=(1, 3))
     return CostVolume(coarse, cost_cap=volume.cost_cap)
 
-
-def dump_cost_volume(volume, path):
-    """Debug dump: little-endian uint32 header (W, H, L) followed by
-    W*H*L float32 costs in (y, x, d) order."""
-    with open(path, "wb") as fp:
-        fp.write(struct.pack("<III", volume.width, volume.height, volume.levels))
-        fp.write(volume.costs.astype("<f4").tobytes())
-
-
-def load_cost_volume(path, cost_cap):
-    with open(path, "rb") as fp:
-        w, h, levels = struct.unpack("<III", fp.read(12))
-        costs = np.frombuffer(fp.read(), dtype="<f4").reshape(h, w, levels)
-    return CostVolume(costs.astype(np.float64), cost_cap=cost_cap)

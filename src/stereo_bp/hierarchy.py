@@ -7,7 +7,7 @@ copied down to its (up to) four children to initialize the finer scale.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -76,11 +76,8 @@ def run_hierarchical(volume, config):
             fld = MessageField(vol.height, vol.width, vol.levels)
         else:
             fld = lift_messages(fld, vol.height, vol.width)
-        cfg = BpConfig(
-            max_sweeps=config.sweeps_per_scale[config.scale_count - 1 - scale],
-            epsilon=config.bp.epsilon,
-            schedule=config.bp.schedule,
-            smoothness=config.bp.smoothness,
+        cfg = replace(
+            config.bp, max_sweeps=config.sweeps_per_scale[config.scale_count - 1 - scale]
         )
         run_bp(vol, fld, cfg, trace=trace, scale=scale)
     return extract_disparity(pyramid[0], fld), trace

@@ -181,6 +181,8 @@ def write_pgm(image, path, binary=True):
 
 def read_disparity_pgm(path, scale_factor=1):
     """Read a scaled disparity encoding back into integer labels."""
+    if scale_factor < 1:
+        raise ValueError(f"scale_factor must be >= 1, got {scale_factor}")
     img = read_pgm(path)
     labels = np.rint(img.samples.astype(np.float64) / scale_factor).astype(np.int32)
     return DisparityMap(labels, scale_factor=scale_factor)

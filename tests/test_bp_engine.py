@@ -11,7 +11,6 @@ from stereo_bp import (
     exact_map_chain,
     extract_disparity,
     labeling_energy,
-    prune_candidates,
     run_bp,
     smoothness_cost,
     sweep,
@@ -70,14 +69,6 @@ class TestUpdateMessage:
         fld = MessageField(1, 2, 2)
         msg = update_message(0, 0, FROM_LEFT, vol, fld, SmoothnessParams(1.0, 10.0))
         assert msg.tolist() == [0.0, 1.0]
-
-    def test_candidate_set_restricts_minimization(self):
-        costs = np.array([[[0.0, 0.2, 0.9], [0.0, 0.0, 0.0]]])
-        vol = prune_candidates(CostVolume(costs, cost_cap=1.0), 2)
-        fld = MessageField(1, 2, 3)
-        msg = update_message(0, 0, FROM_LEFT, vol, fld, SmoothnessParams(1.0, 10.0))
-        # min over d_p in {0, 1} only: raw(2) = min(0 + 2, 0.2 + 1) = 1.2
-        assert msg.tolist() == pytest.approx([0.0, 0.2, 1.2])
 
     def test_missing_neighbor_rejected(self):
         vol = CostVolume(np.zeros((2, 2, 2)), 1.0)

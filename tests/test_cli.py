@@ -160,7 +160,7 @@ class TestMatch:
         assert "stereo-bp:" in capsys.readouterr().err
 
     def test_config_file_flags_win(self, tmp_path):
-        paths = _synth(tmp_path)
+        paths = _synth(tmp_path, shift=8)
         cfg = tmp_path / "run.cfg"
         cfg.write_text("max-disp = 6\nscales = 2\nsweeps = 3,3  # comment\n")
         out = tmp_path / "cfgout.pgm"
@@ -173,9 +173,118 @@ class TestMatch:
                 "--out", str(out),
                 "--scales", "1",
                 "--sweeps", "6",
+                "--trace",
             ]
         )
         assert rc == 0 and out.exists()
+        # the file's max-disp bounds the labels below the true shift of 8
+        assert read_disparity_pgm(out, scale_factor=8).labels.max() <= 5
+        # the flags' single scale of 6 sweeps beat the file's two scales
+        assert _trace_rows(out)[-1][:2] == ["0", "6"]
+        assert {row[0] for row in _trace_rows(out)} == {"0"}
+
+
+def _trace_rows(out):
+    lines = out.with_suffix(".pgm.trace.csv").read_text().splitlines()
+    return [line.split(",") for line in lines[1:]]
+
+
+def _match(paths, out, *flags):
+    return main(
+        [
+            "match",
+            "--left", str(paths["left"]),
+            "--right", str(paths["right"]),
+            "--out", str(out),
+            *flags,
+        ]
+    )
+
+
+class TestConfigFile:
+    def test_values_take_effect(self, tmp_path, capsys):
+        paths = _synth(tmp_path, shift=8)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("max_disp = 6\nscales = 2\nborder = 5\n")
+        truth = ["--truth", str(paths["truth"]), "--trace"]
+        assert _match(paths, tmp_path / "cfg.pgm", "--config", str(cfg), *truth) == 0
+        from_file = capsys.readouterr().out
+        flags = ["--max-disp", "6", "--scales", "2", "--border", "5"]
+        assert _match(paths, tmp_path / "flags.pgm", *flags, *truth) == 0
+        assert from_file == capsys.readouterr().out
+        assert _sha(tmp_path / "cfg.pgm") == _sha(tmp_path / "flags.pgm")
+        assert read_disparity_pgm(tmp_path / "cfg.pgm", 8).labels.max() <= 5
+        assert {row[0] for row in _trace_rows(tmp_path / "cfg.pgm")} == {"0", "1"}
+
+    @pytest.mark.parametrize("value, written", [("true", True), ("False", False)])
+    def test_trace_boolean(self, tmp_path, value, written):
+        paths = _synth(tmp_path)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"trace = {value}\nmax-disp = 4\nsweeps = 1,1,1,1\n")
+        out = tmp_path / "o.pgm"
+        assert _match(paths, out, "--config", str(cfg)) == 0
+        assert out.with_suffix(".pgm.trace.csv").exists() is written
+
+    @pytest.mark.parametrize(
+        "line, reason",
+        [
+            ("topk = 5", "unknown config key: topk"),
+            ("threads = 2", "unknown config key: threads"),
+            ("trace = yes", "trace must be true or false"),
+        ],
+    )
+    def test_bad_key_exits_one(self, tmp_path, capsys, line, reason):
+        paths = _synth(tmp_path)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(line + "\n")
+        out = tmp_path / "o.pgm"
+        assert _match(paths, out, "--config", str(cfg), "--max-disp", "4") == 1
+        err = capsys.readouterr().err
+        assert err.startswith("stereo-bp:") and reason in err
+        assert not out.exists()
+
+
+class TestOutputEncoding:
+    @pytest.mark.parametrize(
+        "flags",
+        [["--disp-scale", "0"], ["--disp-scale", "-1"],
+         ["--max-disp", "33", "--disp-scale", "8"]],
+    )
+    def test_match_rejects_before_compute(self, tmp_path, capsys, flags):
+        paths = _synth(tmp_path)
+        out = tmp_path / "o.pgm"
+        assert _match(paths, out, *flags) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("stereo-bp: --") and "--disp-scale" in err
+        assert not out.exists()
+
+    @pytest.mark.filterwarnings("error")
+    def test_eval_rejects_zero_scale(self, tmp_path, capsys):
+        paths = _synth(tmp_path)
+        rc = main(
+            ["eval", "--result", str(paths["truth"]), "--truth", str(paths["truth"]),
+             "--disp-scale", "0"]
+        )
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("stereo-bp:") and err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "flags",
+        [["--disp-scale", "0"],
+         ["--width", "256", "--height", "256", "--shift", "40", "--disp-scale", "8"]],
+    )
+    def test_synth_rejects_and_writes_nothing(self, tmp_path, flags):
+        rc = main(
+            [
+                "synth", *flags,
+                "--out-left", str(tmp_path / "l.pgm"),
+                "--out-right", str(tmp_path / "r.pgm"),
+                "--out-truth", str(tmp_path / "t.pgm"),
+            ]
+        )
+        assert rc == 1
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestEval:
@@ -211,37 +320,3 @@ class TestEval:
         assert rc == 1
         err = capsys.readouterr().err
         assert "2x2" in err and "3x3" in err
-
-
-class TestThreads:
-    def test_env_var_overrides_default(self, tmp_path, monkeypatch, capsys):
-        monkeypatch.setenv("STEREO_BP_THREADS", "not-a-number")
-        from stereo_bp import cli
-
-        paths = _synth(tmp_path)
-        rc = cli.main(
-            [
-                "match",
-                "--left", str(paths["left"]),
-                "--right", str(paths["right"]),
-                "--out", str(tmp_path / "o.pgm"),
-                "--max-disp", "4",
-                "--scales", "1",
-                "--sweeps", "2",
-            ]
-        )
-        # env var only replaces the default; an explicit flag must still win
-        assert rc == 1
-        rc = cli.main(
-            [
-                "match",
-                "--left", str(paths["left"]),
-                "--right", str(paths["right"]),
-                "--out", str(tmp_path / "o.pgm"),
-                "--max-disp", "4",
-                "--scales", "1",
-                "--sweeps", "2",
-                "--threads", "2",
-            ]
-        )
-        assert rc == 0

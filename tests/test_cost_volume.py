@@ -2,16 +2,12 @@ import numpy as np
 import pytest
 
 from stereo_bp import (
-    ALL,
     CostVolume,
     GrayImage,
     NccParams,
     build_cost_volume,
     downsample_volume,
-    dump_cost_volume,
-    load_cost_volume,
     ncc_score,
-    prune_candidates,
 )
 
 
@@ -138,40 +134,6 @@ class TestBuildCostVolume:
             )
 
 
-class TestPruneCandidates:
-    def test_k_equals_levels_is_identity(self):
-        vol = CostVolume(np.random.default_rng(0).uniform(0, 1, (3, 3, 4)), 1.0)
-        assert prune_candidates(vol, 4) is vol
-        assert prune_candidates(vol, ALL) is vol
-
-    def test_tie_toward_smaller_disparity(self):
-        costs = np.array([[[0.9, 0.1, 0.1, 0.7]]])
-        vol = CostVolume(costs, cost_cap=1.0)
-        pruned = prune_candidates(vol, 2)
-        assert pruned.candidates[0, 0].tolist() == [False, True, True, False]
-        assert pruned.costs[0, 0].tolist() == [1.0, 0.1, 0.1, 1.0]
-
-    def test_matches_sort_oracle_and_preserves_argmin(self):
-        rng = np.random.default_rng(8)
-        vol = CostVolume(rng.uniform(0, 1, size=(5, 6, 7)), cost_cap=1.0)
-        for k in (1, 3, 7):
-            pruned = prune_candidates(vol, k)
-            for y in range(5):
-                for x in range(6):
-                    order = sorted(range(7), key=lambda d: (vol.costs[y, x, d], d))
-                    want = set(order[:k])
-                    got = set(np.flatnonzero(pruned.candidates[y, x])) if k < 7 else set(range(7))
-                    assert got == want
-            assert np.array_equal(
-                np.argmin(pruned.costs, axis=2), np.argmin(vol.costs, axis=2)
-            )
-
-    def test_k_out_of_range(self):
-        vol = CostVolume(np.zeros((1, 1, 3)), cost_cap=1.0)
-        with pytest.raises(ValueError):
-            prune_candidates(vol, 0)
-
-
 class TestDownsampleVolume:
     def test_block_sum(self):
         costs = np.zeros((2, 2, 2))
@@ -207,19 +169,3 @@ class TestDownsampleVolume:
         assert np.allclose(
             coarse.costs.sum(axis=(0, 1)), vol.costs.sum(axis=(0, 1))
         )
-
-    def test_candidates_dropped(self):
-        costs = np.random.default_rng(1).uniform(0, 1, (4, 4, 3))
-        pruned = prune_candidates(CostVolume(costs, 1.0), 2)
-        assert downsample_volume(pruned).candidates is None
-
-
-def test_binary_dump_round_trip(tmp_path):
-    rng = np.random.default_rng(12)
-    vol = CostVolume(rng.uniform(0, 1, size=(4, 6, 3)).astype(np.float32), 1.0)
-    path = tmp_path / "vol.bin"
-    dump_cost_volume(vol, path)
-    raw = path.read_bytes()
-    assert raw[:12] == (6).to_bytes(4, "little") + (4).to_bytes(4, "little") + (3).to_bytes(4, "little")
-    back = load_cost_volume(path, cost_cap=1.0)
-    assert np.array_equal(back.costs, vol.costs)

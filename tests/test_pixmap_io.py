@@ -75,6 +75,14 @@ def test_disparity_scaling(tmp_path):
     assert np.array_equal(back.labels, dm.labels)
 
 
+@pytest.mark.filterwarnings("error")
+def test_disparity_read_rejects_scale_below_one(tmp_path):
+    path = tmp_path / "d.pgm"
+    write_pgm(DisparityMap(np.array([[1, 2]], dtype=np.int32), scale_factor=8), path)
+    with pytest.raises(ValueError, match="scale_factor must be >= 1"):
+        read_disparity_pgm(path, scale_factor=0)
+
+
 def test_disparity_overflow():
     dm = DisparityMap(np.array([[20]], dtype=np.int32), scale_factor=16)
     with pytest.raises(ValueError, match="exceeds 255"):
