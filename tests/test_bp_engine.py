@@ -19,6 +19,9 @@ from stereo_bp import (
 from stereo_bp.bp_engine import FROM_DOWN, FROM_LEFT, FROM_RIGHT, FROM_UP
 from stereo_bp.pixmap_io import DisparityMap
 
+# receiver offset (dx, dy) of the message that fills each incoming slot
+_STEPS = {FROM_LEFT: (1, 0), FROM_RIGHT: (-1, 0), FROM_UP: (0, 1), FROM_DOWN: (0, -1)}
+
 
 def _chain_volume(costs):
     costs = np.asarray(costs, dtype=float)
@@ -147,6 +150,59 @@ class TestSweep:
         _, fast_total, _ = _run(vol, 30, Schedule.FAST, epsilon=1e-3)
         assert fast_total <= full_total
         assert full_total == 8 * 8 * 30
+
+    def test_full_sweep_is_synchronous(self):
+        # every message is computed from the field as it was before the sweep
+        rng = np.random.default_rng(30)
+        h, w, levels = 5, 6, 4
+        vol = CostVolume(rng.uniform(0, 2, size=(h, w, levels)), 2.0)
+        fld = MessageField(h, w, levels)
+        fld.prev = rng.uniform(0, 2, size=fld.prev.shape)
+        before = MessageField(h, w, levels)
+        before.prev = fld.prev.copy()
+        cfg = BpConfig(schedule=Schedule.FULL, smoothness=SmoothnessParams(0.7, 1.5))
+        assert sweep(vol, fld, ConvergenceMask(h, w, 0.0), cfg) == h * w
+        for direction, (dx, dy) in _STEPS.items():
+            for y in range(h):
+                for x in range(w):
+                    if not (0 <= x + dx < w and 0 <= y + dy < h):
+                        continue
+                    want = update_message(x, y, direction, vol, before, cfg.smoothness)
+                    assert np.array_equal(fld.prev[direction, y + dy, x + dx], want)
+
+    def test_fast_sweep_recomputes_only_active_senders(self):
+        rng = np.random.default_rng(31)
+        h, w, levels = 6, 7, 3
+        vol = CostVolume(rng.uniform(0, 2, size=(h, w, levels)), 2.0)
+        fld = MessageField(h, w, levels)
+        fld.prev = rng.uniform(0, 2, size=fld.prev.shape)
+        before = MessageField(h, w, levels)
+        before.prev = fld.prev.copy()
+        mask = ConvergenceMask(h, w, 1e-3)
+        mask.active[...] = False
+        for y, x in [(0, 0), (2, 3), (5, 6), (3, 0)]:
+            mask.active[y, x] = True
+        active = mask.active.copy()
+        cfg = BpConfig(schedule=Schedule.FAST)
+        assert sweep(vol, fld, mask, cfg) == int(active.sum())
+        for direction, (dx, dy) in _STEPS.items():
+            for y in range(h):
+                for x in range(w):
+                    sx, sy = x - dx, y - dy  # the sender of this slot
+                    if 0 <= sx < w and 0 <= sy < h and active[sy, sx]:
+                        want = update_message(sx, sy, direction, vol, before,
+                                              cfg.smoothness)
+                    else:
+                        want = before.prev[direction, y, x]
+                    assert np.array_equal(fld.prev[direction, y, x], want)
+
+    @pytest.mark.parametrize("shape", [(1, 17), (17, 1)])
+    def test_fast_epsilon_zero_matches_full_on_lines(self, shape):
+        rng = np.random.default_rng(32)
+        vol = CostVolume(rng.uniform(0, 1, size=(*shape, 5)), 1.0)
+        fld_full, _, _ = _run(vol, 20, Schedule.FULL)
+        fld_fast, _, _ = _run(vol, 20, Schedule.FAST, epsilon=0.0)
+        assert np.array_equal(fld_full.prev, fld_fast.prev)
 
     def test_dimension_mismatch(self):
         vol = CostVolume(np.zeros((3, 3, 2)), 1.0)

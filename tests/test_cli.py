@@ -3,7 +3,7 @@ import hashlib
 import numpy as np
 import pytest
 
-from stereo_bp import read_disparity_pgm, read_pgm, write_pgm, DisparityMap
+from stereo_bp import read_disparity_pgm, read_pgm, write_pgm, DisparityMap, GrayImage
 from stereo_bp.cli import main
 
 
@@ -285,6 +285,44 @@ class TestOutputEncoding:
         )
         assert rc == 1
         assert list(tmp_path.iterdir()) == []
+
+
+def _random_pair(tmp_path, height, width, seed=0):
+    rng = np.random.default_rng(seed)
+    paths = {k: tmp_path / f"{k}.pgm" for k in ("left", "right")}
+    for path in paths.values():
+        samples = rng.integers(0, 256, size=(height, width), dtype=np.uint8)
+        write_pgm(GrayImage(samples), path)
+    return paths
+
+
+class TestEdgeShapes:
+    @pytest.mark.parametrize(
+        "height, width, flags, levels",
+        [
+            (1, 17, [], 20),
+            (17, 1, [], 20),
+            (7, 13, [], 20),
+            (9, 9, ["--max-disp", "1"], 1),
+            (5, 7, ["--window", "5"], 20),
+            (8, 8, ["--scales", "4"], 20),
+        ],
+    )
+    def test_match_decodes_to_input_shape(self, tmp_path, height, width, flags, levels):
+        paths = _random_pair(tmp_path, height, width)
+        out = tmp_path / "o.pgm"
+        assert _match(paths, out, *flags) == 0
+        labels = read_disparity_pgm(out, scale_factor=8).labels
+        assert labels.shape == (height, width)
+        assert labels.min() >= 0 and labels.max() < levels
+
+    def test_scale_past_one_pixel_exits_one(self, tmp_path, capsys):
+        paths = _random_pair(tmp_path, 8, 8)
+        out = tmp_path / "o.pgm"
+        assert _match(paths, out, "--scales", "5") == 1
+        err = capsys.readouterr().err
+        assert err.startswith("stereo-bp:") and err.count("\n") == 1
+        assert not out.exists()
 
 
 class TestEval:
