@@ -2,11 +2,13 @@
 
 Messages are length-L vectors sent between neighboring pixels; the update
 for the message from p toward q minimizes, over p's disparity, the data
-cost at p plus the truncated-linear jump cost plus the previous incoming
-messages at p from everyone but q. Updates are synchronous (Jacobi) over
-a double buffer, so results are independent of evaluation order within a
-sweep. The FAST schedule skips pixels whose outgoing messages have
-stabilized, reactivating them if an incoming message changes again.
+cost at p plus the truncated-linear jump cost plus the incoming messages
+at p from everyone but q. Updates are synchronous (Jacobi): a sweep
+computes every new message from the field as it stood before the sweep,
+then writes them all into the one message buffer, so results are
+independent of evaluation order. Only active pixels are recomputed; the
+FAST schedule deactivates pixels whose outgoing messages have stabilized,
+reactivating them if an incoming message changes again.
 """
 
 from __future__ import annotations
@@ -21,8 +23,15 @@ from .pixmap_io import INVALID, DisparityMap
 
 # Incoming-message slots: direction the message arrives FROM.
 FROM_LEFT, FROM_RIGHT, FROM_UP, FROM_DOWN = 0, 1, 2, 3
-_DIRECTIONS = (FROM_LEFT, FROM_RIGHT, FROM_UP, FROM_DOWN)
 
+# Per slot: the sender's slot holding what came from the receiver (left out
+# of the message) and the receiver's offset (dy, dx) from the sender.
+_SENDS = {
+    FROM_LEFT: (FROM_RIGHT, 0, 1),
+    FROM_RIGHT: (FROM_LEFT, 0, -1),
+    FROM_UP: (FROM_DOWN, 1, 0),
+    FROM_DOWN: (FROM_UP, -1, 0),
+}
 
 class Schedule(Enum):
     FULL = "full"
@@ -56,30 +65,26 @@ class BpConfig:
 
 
 class MessageField:
-    """Double-buffered incoming messages: four direction slots per pixel,
-    each a length-L vector (eight message surfaces in total).
+    """Incoming messages in one (4, H, W, L) array `msgs`: four direction
+    slots per pixel, each a length-L vector.
 
     Slots on edges arriving from outside the image stay identically zero.
     """
 
     def __init__(self, height, width, levels):
-        self.prev = np.zeros((4, height, width, levels), dtype=np.float64)
-        self.cur = np.zeros((4, height, width, levels), dtype=np.float64)
+        self.msgs = np.zeros((4, height, width, levels), dtype=np.float64)
 
     @property
     def height(self):
-        return self.prev.shape[1]
+        return self.msgs.shape[1]
 
     @property
     def width(self):
-        return self.prev.shape[2]
+        return self.msgs.shape[2]
 
     @property
     def levels(self):
-        return self.prev.shape[3]
-
-    def swap(self):
-        self.prev, self.cur = self.cur, self.prev
+        return self.msgs.shape[3]
 
 
 class ConvergenceMask:
@@ -112,80 +117,55 @@ def _minconv_truncated_linear(h, slope, truncation):
 
 def update_message(x, y, direction, volume, fld, params):
     """Recompute the single message from pixel (x, y) toward its neighbor in
-    `direction` (a FROM_* constant naming the slot it fills at the receiver),
-    reading the field's previous buffer. Returns the min-normalized vector."""
-    h_, w_ = fld.height, fld.width
-    step = {FROM_LEFT: (1, 0), FROM_RIGHT: (-1, 0), FROM_UP: (0, 1), FROM_DOWN: (0, -1)}
-    dx, dy = step[direction]
-    qx, qy = x + dx, y + dy
-    if not (0 <= qx < w_ and 0 <= qy < h_):
+    `direction` (a FROM_* constant naming the slot it fills at the receiver)
+    from the field's current messages. Returns the min-normalized vector."""
+    back, dy, dx = _SENDS[direction]
+    if not (0 <= x + dx < fld.width and 0 <= y + dy < fld.height):
         raise ValueError(f"pixel ({x}, {y}) has no neighbor in direction {direction}")
-    # incoming slot at p holding the message that came FROM q
-    opposite = {FROM_LEFT: FROM_RIGHT, FROM_RIGHT: FROM_LEFT,
-                FROM_UP: FROM_DOWN, FROM_DOWN: FROM_UP}[direction]
-    h = volume.costs[y, x] + fld.prev[:, y, x].sum(axis=0) - fld.prev[opposite, y, x]
+    msgs = fld.msgs
+    h = volume.costs[y, x] + msgs[:, y, x].sum(axis=0) - msgs[back, y, x]
     return _minconv_truncated_linear(h, params.slope, params.truncation)
 
 
 def sweep(volume, fld, mask, config):
-    """One synchronous sweep: read the previous buffer, write the current
-    buffer, swap. Under FAST only active pixels recompute their outgoing
-    messages; skipped pixels carry their previous messages forward.
+    """One synchronous sweep over the updating pixels: every pixel under
+    FULL, the active ones under FAST. Their outgoing messages are all
+    computed before any is written, so each reads the pre-sweep field.
     Returns the number of pixels updated."""
     if (fld.height, fld.width, fld.levels) != (volume.height, volume.width, volume.levels):
         raise ValueError("message field and cost volume dimensions disagree")
     params = config.smoothness
-    prev, cur = fld.prev, fld.cur
-    full = config.schedule is Schedule.FULL
-    updating = np.ones_like(mask.active) if full else mask.active
-    updated = int(np.count_nonzero(updating))
+    msgs = fld.msgs
+    h, w = fld.height, fld.width
+    updating = np.ones_like(mask.active) if config.schedule is Schedule.FULL else mask.active
+    ys, xs = np.nonzero(updating)
+    base = volume.costs[ys, xs] + msgs[:, ys, xs].sum(axis=0)
 
-    total_in = prev.sum(axis=0)
-    # h toward q = data + all incoming except the one that came from q
-    base = volume.costs + total_in
+    sends = []
+    for slot, (back, dy, dx) in _SENDS.items():
+        qy, qx = ys + dy, xs + dx
+        has = (qy >= 0) & (qy < h) & (qx >= 0) & (qx < w)
+        # h toward q = data + all incoming except the one that came from q
+        hq = base[has] - msgs[back, ys[has], xs[has]]
+        msg = _minconv_truncated_linear(hq, params.slope, params.truncation)
+        sends.append((slot, has, qy[has], qx[has], msg))
 
-    def outgoing(exclude_slot):
-        h = base - prev[exclude_slot]
-        return _minconv_truncated_linear(h, params.slope, params.truncation)
+    # a sender's outgoing change is the most any slot it writes moves;
+    # a receiver's incoming change, the most any of its slots moves
+    out_delta = np.zeros(ys.size)
+    incoming_delta = np.zeros((h, w))
+    for slot, has, qy, qx, msg in sends:
+        delta = np.abs(msg - msgs[slot, qy, qx]).max(axis=-1)
+        msgs[slot, qy, qx] = msg
+        out_delta[has] = np.maximum(out_delta[has], delta)
+        incoming_delta[qy, qx] = np.maximum(incoming_delta[qy, qx], delta)
 
-    cur[...] = prev  # skipped pixels keep their previous outgoing messages
-    # toward the right neighbor: fills the receiver's FROM_LEFT slot
-    msg = outgoing(FROM_RIGHT)
-    sel = updating[:, :-1]
-    cur[FROM_LEFT, :, 1:][sel] = msg[:, :-1][sel]
-    # toward the left neighbor
-    msg = outgoing(FROM_LEFT)
-    sel = updating[:, 1:]
-    cur[FROM_RIGHT, :, :-1][sel] = msg[:, 1:][sel]
-    # toward the neighbor below
-    msg = outgoing(FROM_DOWN)
-    sel = updating[:-1, :]
-    cur[FROM_UP, 1:, :][sel] = msg[:-1, :][sel]
-    # toward the neighbor above
-    msg = outgoing(FROM_UP)
-    sel = updating[1:, :]
-    cur[FROM_DOWN, :-1, :][sel] = msg[1:, :][sel]
-
-    # per-slot change, max over the label axis
-    slot_delta = np.abs(cur - prev).max(axis=-1)
-
-    # outgoing change of each sender = change at the slots it wrote
-    out_delta = np.zeros_like(mask.last_delta)
-    np.maximum(out_delta[:, :-1], slot_delta[FROM_LEFT, :, 1:], out=out_delta[:, :-1])
-    np.maximum(out_delta[:, 1:], slot_delta[FROM_RIGHT, :, :-1], out=out_delta[:, 1:])
-    np.maximum(out_delta[:-1, :], slot_delta[FROM_UP, 1:, :], out=out_delta[:-1, :])
-    np.maximum(out_delta[1:, :], slot_delta[FROM_DOWN, :-1, :], out=out_delta[1:, :])
-
-    incoming_delta = slot_delta.max(axis=0)
-
-    mask.last_delta = np.where(updating, out_delta, mask.last_delta)
-    eps = mask.epsilon
-    active = updating & (out_delta >= eps)
-    active |= incoming_delta >= eps
+    mask.last_delta[ys, xs] = out_delta
+    active = np.zeros_like(mask.active)
+    active[ys, xs] = out_delta >= mask.epsilon
+    active |= incoming_delta >= mask.epsilon
     mask.active = active
-
-    fld.swap()
-    return updated
+    return ys.size
 
 
 def run_bp(volume, fld, config, trace=None, scale=None):
@@ -210,8 +190,8 @@ def run_bp(volume, fld, config, trace=None, scale=None):
 
 def extract_disparity(volume, fld):
     """MAP labeling: per-pixel argmin of data cost plus all incoming
-    messages (previous buffer), ties toward smaller disparity."""
-    belief = volume.costs + fld.prev.sum(axis=0)
+    messages, ties toward smaller disparity."""
+    belief = volume.costs + fld.msgs.sum(axis=0)
     return DisparityMap(np.argmin(belief, axis=2).astype(np.int32))
 
 

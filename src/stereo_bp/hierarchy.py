@@ -56,8 +56,8 @@ def lift_messages(coarse, fine_height, fine_width):
             f"of fine {fine_width}x{fine_height}"
         )
     fine = MessageField(fine_height, fine_width, coarse.levels)
-    up = np.repeat(np.repeat(coarse.prev, 2, axis=1), 2, axis=2)
-    fine.prev[...] = up[:, :fine_height, :fine_width]
+    up = np.repeat(np.repeat(coarse.msgs, 2, axis=1), 2, axis=2)
+    fine.msgs[...] = up[:, :fine_height, :fine_width]
     return fine
 
 

@@ -101,7 +101,7 @@ def test_fast_full_equivalence_and_work():
         vol = CostVolume(rng.uniform(0, 1, size=(32, 32, 4)), cost_cap=1.0)
         fld_full, full_total = _run_flat(vol, 30, Schedule.FULL, 0.0, smooth)
         fld_fast0, _ = _run_flat(vol, 30, Schedule.FAST, 0.0, smooth)
-        if not np.array_equal(fld_full.prev, fld_fast0.prev):
+        if not np.array_equal(fld_full.msgs, fld_fast0.msgs):
             bitexact = False
         if not np.array_equal(
             extract_disparity(vol, fld_full).labels,
@@ -183,7 +183,7 @@ def test_invariant_suite(stereogram_run, tmp_path):
     norm_ok = True
     for _ in range(8):
         sweep(vol, fld, mask, cfg)
-        if fld.prev.min() < 0 or fld.prev.min(axis=-1).max() > 1e-6:
+        if fld.msgs.min() < 0 or fld.msgs.min(axis=-1).max() > 1e-6:
             norm_ok = False
     checks["message normalization"] = norm_ok
 

@@ -83,10 +83,10 @@ class TestUpdateMessage:
         rng = np.random.default_rng(21)
         vol = CostVolume(rng.uniform(0, 5, size=(3, 3, 4)), 5.0)
         fld = MessageField(3, 3, 4)
-        fld.prev = rng.uniform(0, 2, size=fld.prev.shape)
+        fld.msgs = rng.uniform(0, 2, size=fld.msgs.shape)
         p = SmoothnessParams(0.8, 1.7)
         msg = update_message(1, 1, FROM_LEFT, vol, fld, p)
-        incoming = fld.prev[:, 1, 1].sum(axis=0) - fld.prev[FROM_RIGHT, 1, 1]
+        incoming = fld.msgs[:, 1, 1].sum(axis=0) - fld.msgs[FROM_RIGHT, 1, 1]
         raw = np.array(
             [
                 min(
@@ -108,17 +108,17 @@ class TestSweep:
         cfg = BpConfig(max_sweeps=5, schedule=Schedule.FULL)
         for _ in range(5):
             sweep(vol, fld, mask, cfg)
-            assert np.all(fld.prev.min(axis=-1) < 1e-6)
-            assert np.all(fld.prev >= 0)
+            assert np.all(fld.msgs.min(axis=-1) < 1e-6)
+            assert np.all(fld.msgs >= 0)
 
     def test_border_slots_stay_zero(self):
         rng = np.random.default_rng(23)
         vol = CostVolume(rng.uniform(0, 1, size=(4, 5, 3)), 1.0)
         fld, _, _ = _run(vol, 4)
-        assert np.all(fld.prev[FROM_LEFT, :, 0] == 0)
-        assert np.all(fld.prev[FROM_RIGHT, :, -1] == 0)
-        assert np.all(fld.prev[FROM_UP, 0, :] == 0)
-        assert np.all(fld.prev[FROM_DOWN, -1, :] == 0)
+        assert np.all(fld.msgs[FROM_LEFT, :, 0] == 0)
+        assert np.all(fld.msgs[FROM_RIGHT, :, -1] == 0)
+        assert np.all(fld.msgs[FROM_UP, 0, :] == 0)
+        assert np.all(fld.msgs[FROM_DOWN, -1, :] == 0)
 
     def test_unambiguous_data_term_converges_fast(self):
         costs = np.full((5, 5, 3), 1.0)
@@ -138,7 +138,7 @@ class TestSweep:
         vol = CostVolume(rng.uniform(0, 1, size=(8, 8, 3)), 1.0)
         fld_full, _, _ = _run(vol, 12, Schedule.FULL)
         fld_fast, _, _ = _run(vol, 12, Schedule.FAST, epsilon=0.0)
-        assert np.array_equal(fld_full.prev, fld_fast.prev)
+        assert np.array_equal(fld_full.msgs, fld_fast.msgs)
         a = extract_disparity(vol, fld_full)
         b = extract_disparity(vol, fld_fast)
         assert np.array_equal(a.labels, b.labels)
@@ -157,9 +157,9 @@ class TestSweep:
         h, w, levels = 5, 6, 4
         vol = CostVolume(rng.uniform(0, 2, size=(h, w, levels)), 2.0)
         fld = MessageField(h, w, levels)
-        fld.prev = rng.uniform(0, 2, size=fld.prev.shape)
+        fld.msgs = rng.uniform(0, 2, size=fld.msgs.shape)
         before = MessageField(h, w, levels)
-        before.prev = fld.prev.copy()
+        before.msgs = fld.msgs.copy()
         cfg = BpConfig(schedule=Schedule.FULL, smoothness=SmoothnessParams(0.7, 1.5))
         assert sweep(vol, fld, ConvergenceMask(h, w, 0.0), cfg) == h * w
         for direction, (dx, dy) in _STEPS.items():
@@ -168,16 +168,16 @@ class TestSweep:
                     if not (0 <= x + dx < w and 0 <= y + dy < h):
                         continue
                     want = update_message(x, y, direction, vol, before, cfg.smoothness)
-                    assert np.array_equal(fld.prev[direction, y + dy, x + dx], want)
+                    assert np.array_equal(fld.msgs[direction, y + dy, x + dx], want)
 
     def test_fast_sweep_recomputes_only_active_senders(self):
         rng = np.random.default_rng(31)
         h, w, levels = 6, 7, 3
         vol = CostVolume(rng.uniform(0, 2, size=(h, w, levels)), 2.0)
         fld = MessageField(h, w, levels)
-        fld.prev = rng.uniform(0, 2, size=fld.prev.shape)
+        fld.msgs = rng.uniform(0, 2, size=fld.msgs.shape)
         before = MessageField(h, w, levels)
-        before.prev = fld.prev.copy()
+        before.msgs = fld.msgs.copy()
         mask = ConvergenceMask(h, w, 1e-3)
         mask.active[...] = False
         for y, x in [(0, 0), (2, 3), (5, 6), (3, 0)]:
@@ -193,8 +193,8 @@ class TestSweep:
                         want = update_message(sx, sy, direction, vol, before,
                                               cfg.smoothness)
                     else:
-                        want = before.prev[direction, y, x]
-                    assert np.array_equal(fld.prev[direction, y, x], want)
+                        want = before.msgs[direction, y, x]
+                    assert np.array_equal(fld.msgs[direction, y, x], want)
 
     @pytest.mark.parametrize("shape", [(1, 17), (17, 1)])
     def test_fast_epsilon_zero_matches_full_on_lines(self, shape):
@@ -202,7 +202,7 @@ class TestSweep:
         vol = CostVolume(rng.uniform(0, 1, size=(*shape, 5)), 1.0)
         fld_full, _, _ = _run(vol, 20, Schedule.FULL)
         fld_fast, _, _ = _run(vol, 20, Schedule.FAST, epsilon=0.0)
-        assert np.array_equal(fld_full.prev, fld_fast.prev)
+        assert np.array_equal(fld_full.msgs, fld_fast.msgs)
 
     def test_dimension_mismatch(self):
         vol = CostVolume(np.zeros((3, 3, 2)), 1.0)

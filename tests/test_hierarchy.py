@@ -56,36 +56,36 @@ class TestLiftMessages:
     def test_zero_messages_stay_zero(self):
         coarse = MessageField(1, 1, 3)
         fine = lift_messages(coarse, 2, 2)
-        assert np.all(fine.prev == 0)
+        assert np.all(fine.msgs == 0)
 
     def test_block_copy(self):
         coarse = MessageField(1, 1, 2)
-        coarse.prev[0, 0, 0] = [0.0, 2.0]
+        coarse.msgs[0, 0, 0] = [0.0, 2.0]
         fine = lift_messages(coarse, 2, 2)
         for y in range(2):
             for x in range(2):
-                assert fine.prev[0, y, x].tolist() == [0.0, 2.0]
+                assert fine.msgs[0, y, x].tolist() == [0.0, 2.0]
 
     def test_every_fine_vector_equals_parent(self):
         rng = np.random.default_rng(5)
         coarse = MessageField(3, 4, 3)
-        coarse.prev = rng.uniform(0, 2, size=coarse.prev.shape)
-        coarse.prev -= coarse.prev.min(axis=-1, keepdims=True)
+        coarse.msgs = rng.uniform(0, 2, size=coarse.msgs.shape)
+        coarse.msgs -= coarse.msgs.min(axis=-1, keepdims=True)
         fine = lift_messages(coarse, 5, 7)
         for y in range(5):
             for x in range(7):
                 for s in range(4):
                     assert np.array_equal(
-                        fine.prev[s, y, x], coarse.prev[s, y // 2, x // 2]
+                        fine.msgs[s, y, x], coarse.msgs[s, y // 2, x // 2]
                     )
 
     def test_preserves_min_normalization(self):
         rng = np.random.default_rng(6)
         coarse = MessageField(2, 2, 4)
-        coarse.prev = rng.uniform(0, 1, size=coarse.prev.shape)
-        coarse.prev -= coarse.prev.min(axis=-1, keepdims=True)
+        coarse.msgs = rng.uniform(0, 1, size=coarse.msgs.shape)
+        coarse.msgs -= coarse.msgs.min(axis=-1, keepdims=True)
         fine = lift_messages(coarse, 4, 4)
-        assert np.allclose(fine.prev.min(axis=-1), 0.0)
+        assert np.allclose(fine.msgs.min(axis=-1), 0.0)
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
