@@ -102,19 +102,25 @@ def cmd_match(args):
             f"--max-disp {args.max_disp} at --disp-scale {args.disp_scale} "
             f"encodes disparity {args.max_disp - 1} as {top_gray}, above 255"
         )
-    left = pixmap_io.read_pgm(args.left)
-    right = pixmap_io.read_pgm(args.right)
-
-    ncc = NccParams(window_radius=args.window)
-    volume = build_cost_volume(left, right, args.max_disp, ncc)
+    if args.max_disp < 1:
+        raise ValueError(f"--max-disp must be >= 1, got {args.max_disp}")
     if args.sweeps is not None:
-        sweeps = [int(s) for s in args.sweeps.split(",")]
+        try:
+            sweeps = [int(s) for s in args.sweeps.split(",")]
+        except ValueError:
+            raise ValueError(
+                f"--sweeps takes comma-separated integers, got {args.sweeps!r}"
+            ) from None
     else:
         sweeps = [10] * (args.scales - 1) + [20] if args.scales > 1 else [20]
+    ncc = NccParams(window_radius=args.window)
     bp = BpConfig(epsilon=args.epsilon, schedule=Schedule(args.schedule),
                   smoothness=SmoothnessParams())
     pyramid = PyramidConfig(scale_count=args.scales, sweeps_per_scale=sweeps, bp=bp)
 
+    left = pixmap_io.read_pgm(args.left)
+    right = pixmap_io.read_pgm(args.right)
+    volume = build_cost_volume(left, right, args.max_disp, ncc)
     disparity, trace = run_hierarchical(volume, pyramid)
     disparity = pixmap_io.DisparityMap(disparity.labels, scale_factor=args.disp_scale)
     pixmap_io.write_pgm(disparity, args.out)

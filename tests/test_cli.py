@@ -325,6 +325,28 @@ class TestEdgeShapes:
         assert not out.exists()
 
 
+class TestFailFast:
+    @pytest.mark.parametrize(
+        "flags, reason",
+        [
+            (["--scales", "4", "--sweeps", "3,3"], "one entry per scale"),
+            (["--sweeps", "3,x"], "--sweeps takes comma-separated integers"),
+            (["--sweeps", "0,1,1,1"], "sweep budget must be >= 1"),
+            (["--scales", "0"], "scale_count must be >= 1"),
+            (["--max-disp", "0"], "--max-disp must be >= 1"),
+            (["--window", "0"], "window_radius must be >= 1"),
+            (["--epsilon", "-1"], "epsilon must be >= 0"),
+        ],
+    )
+    def test_bad_config_rejected_before_reading(self, tmp_path, capsys, flags, reason):
+        paths = {"left": tmp_path / "nope.pgm", "right": tmp_path / "nope.pgm"}
+        out = tmp_path / "o.pgm"
+        assert _match(paths, out, *flags) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("stereo-bp:") and reason in err
+        assert not out.exists()
+
+
 class TestEval:
     def test_identical_files(self, tmp_path, capsys):
         paths = _synth(tmp_path)
