@@ -33,6 +33,7 @@ _SENDS = {
     FROM_DOWN: (FROM_UP, -1, 0),
 }
 
+
 class Schedule(Enum):
     FULL = "full"
     FAST = "fast"
