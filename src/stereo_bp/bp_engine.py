@@ -6,15 +6,16 @@ cost at p plus the truncated-linear jump cost plus the incoming messages
 at p from everyone but q. Updates are synchronous (Jacobi): a sweep
 computes every new message from the field as it stood before the sweep,
 then writes them all into the one message buffer, so results are
-independent of evaluation order. Only active pixels are recomputed; the
-FAST schedule deactivates pixels whose outgoing messages have stabilized,
-reactivating them if an incoming message changes again.
+independent of evaluation order. Only active pixels are recomputed: a
+pixel whose outgoing messages moved by less than epsilon is deactivated,
+and reactivated if an incoming message changes by epsilon or more. At
+epsilon 0 every pixel stays active, which is the standard synchronous
+schedule.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from enum import Enum
 
 import numpy as np
 
@@ -34,11 +35,6 @@ _SENDS = {
 }
 
 
-class Schedule(Enum):
-    FULL = "full"
-    FAST = "fast"
-
-
 @dataclass
 class SmoothnessParams:
     """Truncated-linear jump cost V(a, b) = min(slope * |a - b|, truncation)."""
@@ -54,8 +50,9 @@ class SmoothnessParams:
 @dataclass
 class BpConfig:
     max_sweeps: int = 30
-    epsilon: float = 1e-3  # convergence threshold on outgoing-message change
-    schedule: Schedule = Schedule.FAST
+    # a pixel stays active while its messages move by at least this;
+    # 0 keeps every pixel active (the standard schedule)
+    epsilon: float = 1e-3
     smoothness: SmoothnessParams = field(default_factory=SmoothnessParams)
 
     def __post_init__(self):
@@ -91,10 +88,9 @@ class MessageField:
 class ConvergenceMask:
     """Per-pixel active flags plus the last outgoing-change magnitude."""
 
-    def __init__(self, height, width, epsilon):
+    def __init__(self, height, width):
         self.active = np.ones((height, width), dtype=bool)
         self.last_delta = np.full((height, width), np.inf)
-        self.epsilon = epsilon
 
 
 def smoothness_cost(a, b, params):
@@ -129,17 +125,15 @@ def update_message(x, y, direction, volume, fld, params):
 
 
 def sweep(volume, fld, mask, config):
-    """One synchronous sweep over the updating pixels: every pixel under
-    FULL, the active ones under FAST. Their outgoing messages are all
-    computed before any is written, so each reads the pre-sweep field.
-    Returns the number of pixels updated."""
+    """One synchronous sweep over the active pixels. Their outgoing
+    messages are all computed before any is written, so each reads the
+    pre-sweep field. Returns the number of pixels updated."""
     if (fld.height, fld.width, fld.levels) != (volume.height, volume.width, volume.levels):
         raise ValueError("message field and cost volume dimensions disagree")
     params = config.smoothness
     msgs = fld.msgs
     h, w = fld.height, fld.width
-    updating = np.ones_like(mask.active) if config.schedule is Schedule.FULL else mask.active
-    ys, xs = np.nonzero(updating)
+    ys, xs = np.nonzero(mask.active)
     base = volume.costs[ys, xs] + msgs[:, ys, xs].sum(axis=0)
 
     sends = []
@@ -163,18 +157,17 @@ def sweep(volume, fld, mask, config):
 
     mask.last_delta[ys, xs] = out_delta
     active = np.zeros_like(mask.active)
-    active[ys, xs] = out_delta >= mask.epsilon
-    active |= incoming_delta >= mask.epsilon
+    active[ys, xs] = out_delta >= config.epsilon
+    active |= incoming_delta >= config.epsilon
     mask.active = active
     return ys.size
 
 
 def run_bp(volume, fld, config, trace=None, scale=None):
-    """Run up to max_sweeps sweeps; under FAST, stop early once no pixel is
-    active. Appends (scale, sweep, active, max_delta, energy) rows to
-    `trace` when given. Returns the total number of pixel updates."""
-    mask = ConvergenceMask(volume.height, volume.width,
-                           0.0 if config.schedule is Schedule.FULL else config.epsilon)
+    """Run up to max_sweeps sweeps, stopping once no pixel is active (never
+    at epsilon 0). Appends (scale, sweep, active, max_delta, energy) rows
+    to `trace` when given. Returns the total number of pixel updates."""
+    mask = ConvergenceMask(volume.height, volume.width)
     total = 0
     for it in range(1, config.max_sweeps + 1):
         updated = sweep(volume, fld, mask, config)
@@ -184,7 +177,7 @@ def run_bp(volume, fld, config, trace=None, scale=None):
                                      config.smoothness)
             max_delta = float(mask.last_delta[np.isfinite(mask.last_delta)].max(initial=0.0))
             trace.append((scale, it, int(mask.active.sum()), max_delta, energy))
-        if config.schedule is Schedule.FAST and not mask.active.any():
+        if not mask.active.any():
             break
     return total
 

@@ -6,6 +6,10 @@ Subcommands:
   eval   score a disparity PGM against a ground-truth PGM
   synth  write a reproducible stereogram triple (left, right, truth)
 
+`match` takes the pyramid depth from the length of `--sweeps`; `--scales N`
+alone stands for `[10] * (N - 1) + [20]`, and `--schedule full` means
+`--epsilon 0` (every pixel updates every sweep).
+
 `match --config FILE` reads `key = value` lines whose keys are match's long
 flag names (dashes or underscores) and whose values are parsed as the flag
 would parse them; `trace` takes true or false. Explicit flags win.
@@ -17,7 +21,7 @@ import argparse
 import sys
 
 from . import evaluation, pixmap_io
-from .bp_engine import BpConfig, Schedule, SmoothnessParams, labeling_energy
+from .bp_engine import BpConfig, SmoothnessParams
 from .cost_volume import NccParams, build_cost_volume
 from .hierarchy import PyramidConfig, run_hierarchical
 
@@ -62,7 +66,7 @@ def build_parser():
     m.add_argument("--truth", default=None)
     m.add_argument("--out", required=True)
     m.add_argument("--max-disp", type=int, default=20)
-    m.add_argument("--scales", type=int, default=4)
+    m.add_argument("--scales", type=int, default=None)
     m.add_argument("--sweeps", default=None,
                    help="comma-separated per-scale budgets, coarsest first")
     m.add_argument("--epsilon", type=float, default=1e-3)
@@ -104,19 +108,24 @@ def cmd_match(args):
         )
     if args.max_disp < 1:
         raise ValueError(f"--max-disp must be >= 1, got {args.max_disp}")
-    if args.sweeps is not None:
+    if args.scales is not None and args.scales < 1:
+        raise ValueError(f"--scales must be >= 1, got {args.scales}")
+    if args.sweeps is None:
+        sweeps = [10] * ((args.scales or 4) - 1) + [20]
+    else:
         try:
             sweeps = [int(s) for s in args.sweeps.split(",")]
         except ValueError:
             raise ValueError(
                 f"--sweeps takes comma-separated integers, got {args.sweeps!r}"
             ) from None
-    else:
-        sweeps = [10] * (args.scales - 1) + [20] if args.scales > 1 else [20]
+        if args.scales not in (None, len(sweeps)):
+            raise ValueError(f"--scales {args.scales} but --sweeps has {len(sweeps)} budgets")
     ncc = NccParams(window_radius=args.window)
-    bp = BpConfig(epsilon=args.epsilon, schedule=Schedule(args.schedule),
-                  smoothness=SmoothnessParams())
-    pyramid = PyramidConfig(scale_count=args.scales, sweeps_per_scale=sweeps, bp=bp)
+    bp = BpConfig(epsilon=args.epsilon, smoothness=SmoothnessParams())
+    if args.schedule == "full":  # every pixel updates every sweep
+        bp.epsilon = 0.0
+    pyramid = PyramidConfig(sweeps_per_scale=sweeps, bp=bp)
 
     left = pixmap_io.read_pgm(args.left)
     right = pixmap_io.read_pgm(args.right)

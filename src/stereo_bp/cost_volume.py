@@ -31,10 +31,10 @@ class NccParams:
 
 @dataclass
 class CostVolume:
-    """Per-pixel matching costs over every disparity in [0, levels)."""
+    """Per-pixel matching costs over every disparity in [0, levels):
+    a finite, non-negative (height, width, levels) float64 array."""
 
-    costs: np.ndarray  # (height, width, levels) float64, in [0, cost_cap]
-    cost_cap: float  # tau_d used to build/truncate this volume
+    costs: np.ndarray
 
     def __post_init__(self):
         self.costs = np.asarray(self.costs, dtype=np.float64)
@@ -129,7 +129,7 @@ def build_cost_volume(left, right, levels, params):
             ncc = np.clip(ncc, -1.0, 1.0)
             costs[r : r + ih, r + d : w - r, d] = np.minimum(lam * (1.0 - ncc), tau)
 
-    return CostVolume(costs, cost_cap=tau)
+    return CostVolume(costs)
 
 
 def downsample_volume(volume):
@@ -140,5 +140,5 @@ def downsample_volume(volume):
     padded = np.zeros((2 * ch, 2 * cw, levels), dtype=np.float64)
     padded[:h, :w] = volume.costs
     coarse = padded.reshape(ch, 2, cw, 2, levels).sum(axis=(1, 3))
-    return CostVolume(coarse, cost_cap=volume.cost_cap)
+    return CostVolume(coarse)
 

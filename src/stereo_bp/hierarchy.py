@@ -17,30 +17,28 @@ from .cost_volume import downsample_volume
 
 @dataclass
 class PyramidConfig:
-    scale_count: int = 4
+    # one sweep budget per scale, coarsest first; its length is the depth
     sweeps_per_scale: list[int] = field(default_factory=lambda: [10, 10, 10, 20])
     bp: BpConfig = field(default_factory=BpConfig)
 
     def __post_init__(self):
-        if self.scale_count < 1:
-            raise ValueError("scale_count must be >= 1")
-        if len(self.sweeps_per_scale) != self.scale_count:
-            raise ValueError("sweeps_per_scale needs one entry per scale")
+        if not self.sweeps_per_scale:
+            raise ValueError("sweeps_per_scale needs at least one scale")
         if any(s < 1 for s in self.sweeps_per_scale):
             raise ValueError("every sweep budget must be >= 1")
 
 
-def build_pyramid(volume, scale_count):
-    """Level 0 is the input; each further level is the 2x2 cost-sum
-    coarsening of the previous one. Finest first."""
-    if scale_count < 1:
-        raise ValueError("scale_count must be >= 1")
+def build_pyramid(volume, depth):
+    """`depth` levels: level 0 is the input; each further level is the 2x2
+    cost-sum coarsening of the previous one. Finest first."""
+    if depth < 1:
+        raise ValueError("pyramid depth must be >= 1")
     levels = [volume]
-    for _ in range(scale_count - 1):
+    for _ in range(depth - 1):
         prev = levels[-1]
         if prev.width == 1 and prev.height == 1:
             raise ValueError(
-                f"scale_count {scale_count} exceeds what a "
+                f"{depth} scales exceed what a "
                 f"{volume.width}x{volume.height} volume supports"
             )
         levels.append(downsample_volume(prev))
@@ -67,17 +65,16 @@ def run_hierarchical(volume, config):
     Returns (DisparityMap, trace) where trace rows are
     (scale, sweep, active_pixels, max_delta, energy); scale 0 is finest.
     """
-    pyramid = build_pyramid(volume, config.scale_count)
+    budgets = config.sweeps_per_scale
+    pyramid = build_pyramid(volume, len(budgets))
     trace = []
     fld = None
-    for scale in range(config.scale_count - 1, -1, -1):
+    for scale, sweeps in zip(range(len(budgets) - 1, -1, -1), budgets):
         vol = pyramid[scale]
         if fld is None:
             fld = MessageField(vol.height, vol.width, vol.levels)
         else:
             fld = lift_messages(fld, vol.height, vol.width)
-        cfg = replace(
-            config.bp, max_sweeps=config.sweeps_per_scale[config.scale_count - 1 - scale]
-        )
+        cfg = replace(config.bp, max_sweeps=sweeps)
         run_bp(vol, fld, cfg, trace=trace, scale=scale)
     return extract_disparity(pyramid[0], fld), trace

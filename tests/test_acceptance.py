@@ -8,28 +8,25 @@ import time
 import numpy as np
 import pytest
 
+from bp_reference import jacobi_bp
 from stereo_bp import (
     BpConfig,
     CostVolume,
-    MessageField,
     NccParams,
     PyramidConfig,
-    Schedule,
     SmoothnessParams,
     bad_pixel_rate,
     build_cost_volume,
-    build_pyramid,
-    exact_map_chain,
-    exact_map_grid_small,
-    extract_disparity,
     labeling_energy,
     make_stereogram,
     read_pgm,
-    run_bp,
     run_hierarchical,
     write_pgm,
 )
+from stereo_bp.bp_engine import MessageField, extract_disparity, run_bp
 from stereo_bp.cli import main
+from stereo_bp.evaluation import exact_map_chain, exact_map_grid_small
+from stereo_bp.hierarchy import build_pyramid
 
 
 def _report(name, ok):
@@ -37,10 +34,9 @@ def _report(name, ok):
     assert ok, name
 
 
-def _run_flat(volume, sweeps, schedule, epsilon, smooth):
+def _run_flat(volume, sweeps, epsilon, smooth):
     fld = MessageField(volume.height, volume.width, volume.levels)
-    cfg = BpConfig(max_sweeps=sweeps, epsilon=epsilon, schedule=schedule,
-                   smoothness=smooth)
+    cfg = BpConfig(max_sweeps=sweeps, epsilon=epsilon, smoothness=smooth)
     total = run_bp(volume, fld, cfg)
     return fld, total
 
@@ -55,8 +51,8 @@ def test_tree_exactness():
         n = int(rng.integers(1, 17))
         levels = int(rng.integers(1, 9))
         costs = rng.uniform(0, 10, size=(n, levels))
-        vol = CostVolume(costs.reshape(1, n, levels), cost_cap=11.0)
-        fld, _ = _run_flat(vol, n, Schedule.FULL, 0.0, smooth)
+        vol = CostVolume(costs.reshape(1, n, levels))
+        fld, _ = _run_flat(vol, n, 0.0, smooth)
         dm = extract_disparity(vol, fld)
         want_labels, want_energy = exact_map_chain(costs, smooth)
         got_energy = labeling_energy(vol, dm, smooth)
@@ -77,10 +73,10 @@ def test_brute_force_optimality_bound():
         h = int(rng.integers(1, 4))
         w = int(rng.integers(1, 4))
         levels = int(rng.integers(1, 4))
-        vol = CostVolume(rng.uniform(0, 5, size=(h, w, levels)), cost_cap=5.0)
+        vol = CostVolume(rng.uniform(0, 5, size=(h, w, levels)))
         smooth = SmoothnessParams(slope=0.0 if i % 2 == 0 else 1.0, truncation=2.0)
         _, opt_energy = exact_map_grid_small(vol, smooth)
-        fld, _ = _run_flat(vol, 10, Schedule.FULL, 0.0, smooth)
+        fld, _ = _run_flat(vol, 10, 0.0, smooth)
         bp_energy = labeling_energy(vol, extract_disparity(vol, fld), smooth)
         if bp_energy < opt_energy - 1e-12:
             ok = False
@@ -92,23 +88,26 @@ def test_brute_force_optimality_bound():
 
 
 def test_fast_full_equivalence_and_work():
-    """FAST eps=0 is bit-exact vs FULL; FAST eps=1e-3 does strictly less work."""
+    """eps=0 is bit-exact vs the scalar synchronous reference and updates
+    every pixel every sweep; eps=1e-3 does strictly less work."""
     smooth = SmoothnessParams()
     bitexact = True
     fewer = 0
     for seed in range(20):
         rng = np.random.default_rng(3000 + seed)
-        vol = CostVolume(rng.uniform(0, 1, size=(32, 32, 4)), cost_cap=1.0)
-        fld_full, full_total = _run_flat(vol, 30, Schedule.FULL, 0.0, smooth)
-        fld_fast0, _ = _run_flat(vol, 30, Schedule.FAST, 0.0, smooth)
-        if not np.array_equal(fld_full.msgs, fld_fast0.msgs):
+        vol = CostVolume(rng.uniform(0, 1, size=(32, 32, 4)))
+        small = CostVolume(rng.uniform(0, 1, size=(8, 8, 4)))
+        fld_ref = jacobi_bp(small, 10, smooth)
+        fld_fast0, total0 = _run_flat(small, 10, 0.0, smooth)
+        if not np.array_equal(fld_ref.msgs, fld_fast0.msgs) or total0 != 8 * 8 * 10:
             bitexact = False
         if not np.array_equal(
-            extract_disparity(vol, fld_full).labels,
-            extract_disparity(vol, fld_fast0).labels,
+            extract_disparity(small, fld_ref).labels,
+            extract_disparity(small, fld_fast0).labels,
         ):
             bitexact = False
-        _, fast_total = _run_flat(vol, 30, Schedule.FAST, 1e-3, smooth)
+        _, full_total = _run_flat(vol, 30, 0.0, smooth)
+        _, fast_total = _run_flat(vol, 30, 1e-3, smooth)
         if fast_total < full_total:
             fewer += 1
     _report(
@@ -124,7 +123,7 @@ def stereogram_run(tmp_path_factory):
     left, right, truth = make_stereogram(128, 128, 5, 1)
     volume = build_cost_volume(left, right, 20, NccParams())
     t0 = time.time()
-    cfg = PyramidConfig(scale_count=4, sweeps_per_scale=[10, 10, 10, 30])
+    cfg = PyramidConfig(sweeps_per_scale=[10, 10, 10, 30])
     disparity, trace = run_hierarchical(volume, cfg)
     elapsed = time.time() - t0
     return dict(tmp=tmp, left=left, right=right, truth=truth, volume=volume,
@@ -174,12 +173,12 @@ def test_invariant_suite(stereogram_run, tmp_path):
     rng = np.random.default_rng(4000)
 
     # message min-0 normalization after every sweep
-    vol = CostVolume(rng.uniform(0, 1, size=(10, 10, 4)), cost_cap=1.0)
+    vol = CostVolume(rng.uniform(0, 1, size=(10, 10, 4)))
     fld = MessageField(10, 10, 4)
-    from stereo_bp import ConvergenceMask, sweep
+    from stereo_bp.bp_engine import ConvergenceMask, sweep
 
-    mask = ConvergenceMask(10, 10, 0.0)
-    cfg = BpConfig(max_sweeps=1, schedule=Schedule.FULL)
+    mask = ConvergenceMask(10, 10)
+    cfg = BpConfig(max_sweeps=1, epsilon=0.0)
     norm_ok = True
     for _ in range(8):
         sweep(vol, fld, mask, cfg)
@@ -188,7 +187,8 @@ def test_invariant_suite(stereogram_run, tmp_path):
     checks["message normalization"] = norm_ok
 
     # NCC range and affine-intensity invariance
-    from stereo_bp import GrayImage, ncc_score
+    from stereo_bp import GrayImage
+    from stereo_bp.cost_volume import ncc_score
 
     ncc_ok = True
     for _ in range(30):

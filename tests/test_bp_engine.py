@@ -1,39 +1,36 @@
 import numpy as np
 import pytest
 
-from stereo_bp import (
-    BpConfig,
+from bp_reference import STEPS as _STEPS
+from bp_reference import jacobi_bp
+from stereo_bp import BpConfig, CostVolume, SmoothnessParams, labeling_energy
+from stereo_bp.bp_engine import (
+    FROM_DOWN,
+    FROM_LEFT,
+    FROM_RIGHT,
+    FROM_UP,
     ConvergenceMask,
-    CostVolume,
     MessageField,
-    Schedule,
-    SmoothnessParams,
-    exact_map_chain,
     extract_disparity,
-    labeling_energy,
     run_bp,
     smoothness_cost,
     sweep,
     update_message,
 )
-from stereo_bp.bp_engine import FROM_DOWN, FROM_LEFT, FROM_RIGHT, FROM_UP
+from stereo_bp.evaluation import exact_map_chain
 from stereo_bp.pixmap_io import DisparityMap
-
-# receiver offset (dx, dy) of the message that fills each incoming slot
-_STEPS = {FROM_LEFT: (1, 0), FROM_RIGHT: (-1, 0), FROM_UP: (0, 1), FROM_DOWN: (0, -1)}
 
 
 def _chain_volume(costs):
     costs = np.asarray(costs, dtype=float)
-    return CostVolume(costs.reshape(1, *costs.shape), cost_cap=float(costs.max()) + 1)
+    return CostVolume(costs.reshape(1, *costs.shape))
 
 
-def _run(volume, sweeps, schedule=Schedule.FULL, epsilon=0.0, smooth=None):
+def _run(volume, sweeps, epsilon=0.0, smooth=None):
     fld = MessageField(volume.height, volume.width, volume.levels)
     cfg = BpConfig(
         max_sweeps=sweeps,
         epsilon=epsilon,
-        schedule=schedule,
         smoothness=smooth or SmoothnessParams(),
     )
     total = run_bp(volume, fld, cfg)
@@ -61,27 +58,27 @@ class TestSmoothnessCost:
 
 class TestUpdateMessage:
     def test_all_zero_inputs_give_zero_vector(self):
-        vol = CostVolume(np.zeros((3, 3, 4)), 1.0)
+        vol = CostVolume(np.zeros((3, 3, 4)))
         fld = MessageField(3, 3, 4)
         msg = update_message(1, 1, FROM_LEFT, vol, fld, SmoothnessParams())
         assert np.allclose(msg, 0.0)
 
     def test_two_label_hand_evaluation(self):
         # data at p = {0, 5}, s=1, T=10, no incoming: raw {0, 1}
-        vol = CostVolume(np.array([[[0.0, 5.0], [0.0, 0.0]]]), 10.0)
+        vol = CostVolume(np.array([[[0.0, 5.0], [0.0, 0.0]]]))
         fld = MessageField(1, 2, 2)
         msg = update_message(0, 0, FROM_LEFT, vol, fld, SmoothnessParams(1.0, 10.0))
         assert msg.tolist() == [0.0, 1.0]
 
     def test_missing_neighbor_rejected(self):
-        vol = CostVolume(np.zeros((2, 2, 2)), 1.0)
+        vol = CostVolume(np.zeros((2, 2, 2)))
         fld = MessageField(2, 2, 2)
         with pytest.raises(ValueError):
             update_message(1, 0, FROM_LEFT, vol, fld, SmoothnessParams())
 
     def test_agrees_with_brute_force_min(self):
         rng = np.random.default_rng(21)
-        vol = CostVolume(rng.uniform(0, 5, size=(3, 3, 4)), 5.0)
+        vol = CostVolume(rng.uniform(0, 5, size=(3, 3, 4)))
         fld = MessageField(3, 3, 4)
         fld.msgs = rng.uniform(0, 2, size=fld.msgs.shape)
         p = SmoothnessParams(0.8, 1.7)
@@ -102,10 +99,10 @@ class TestUpdateMessage:
 class TestSweep:
     def test_messages_min_normalized_after_sweep(self):
         rng = np.random.default_rng(22)
-        vol = CostVolume(rng.uniform(0, 1, size=(6, 7, 3)), 1.0)
+        vol = CostVolume(rng.uniform(0, 1, size=(6, 7, 3)))
         fld = MessageField(6, 7, 3)
-        mask = ConvergenceMask(6, 7, 0.0)
-        cfg = BpConfig(max_sweeps=5, schedule=Schedule.FULL)
+        mask = ConvergenceMask(6, 7)
+        cfg = BpConfig(max_sweeps=5, epsilon=0.0)
         for _ in range(5):
             sweep(vol, fld, mask, cfg)
             assert np.all(fld.msgs.min(axis=-1) < 1e-6)
@@ -113,7 +110,7 @@ class TestSweep:
 
     def test_border_slots_stay_zero(self):
         rng = np.random.default_rng(23)
-        vol = CostVolume(rng.uniform(0, 1, size=(4, 5, 3)), 1.0)
+        vol = CostVolume(rng.uniform(0, 1, size=(4, 5, 3)))
         fld, _, _ = _run(vol, 4)
         assert np.all(fld.msgs[FROM_LEFT, :, 0] == 0)
         assert np.all(fld.msgs[FROM_RIGHT, :, -1] == 0)
@@ -123,10 +120,10 @@ class TestSweep:
     def test_unambiguous_data_term_converges_fast(self):
         costs = np.full((5, 5, 3), 1.0)
         costs[:, :, 0] = 0.0
-        vol = CostVolume(costs, 1.0)
+        vol = CostVolume(costs)
         fld = MessageField(5, 5, 3)
-        mask = ConvergenceMask(5, 5, 1e-3)
-        cfg = BpConfig(max_sweeps=1, epsilon=1e-3, schedule=Schedule.FAST,
+        mask = ConvergenceMask(5, 5)
+        cfg = BpConfig(max_sweeps=1, epsilon=1e-3,
                        smoothness=SmoothnessParams(1.0, 1.0))
         sweep(vol, fld, mask, cfg)
         sweep(vol, fld, mask, cfg)
@@ -135,19 +132,20 @@ class TestSweep:
 
     def test_fast_epsilon_zero_matches_full_bitwise(self):
         rng = np.random.default_rng(24)
-        vol = CostVolume(rng.uniform(0, 1, size=(8, 8, 3)), 1.0)
-        fld_full, _, _ = _run(vol, 12, Schedule.FULL)
-        fld_fast, _, _ = _run(vol, 12, Schedule.FAST, epsilon=0.0)
-        assert np.array_equal(fld_full.msgs, fld_fast.msgs)
-        a = extract_disparity(vol, fld_full)
+        vol = CostVolume(rng.uniform(0, 1, size=(8, 8, 3)))
+        fld_ref = jacobi_bp(vol, 12, SmoothnessParams())
+        fld_fast, total, _ = _run(vol, 12, epsilon=0.0)
+        assert np.array_equal(fld_ref.msgs, fld_fast.msgs)
+        assert total == 8 * 8 * 12
+        a = extract_disparity(vol, fld_ref)
         b = extract_disparity(vol, fld_fast)
         assert np.array_equal(a.labels, b.labels)
 
     def test_fast_does_not_exceed_full_work(self):
         rng = np.random.default_rng(25)
-        vol = CostVolume(rng.uniform(0, 1, size=(8, 8, 3)), 1.0)
-        _, full_total, _ = _run(vol, 30, Schedule.FULL)
-        _, fast_total, _ = _run(vol, 30, Schedule.FAST, epsilon=1e-3)
+        vol = CostVolume(rng.uniform(0, 1, size=(8, 8, 3)))
+        _, full_total, _ = _run(vol, 30, epsilon=0.0)
+        _, fast_total, _ = _run(vol, 30, epsilon=1e-3)
         assert fast_total <= full_total
         assert full_total == 8 * 8 * 30
 
@@ -155,13 +153,13 @@ class TestSweep:
         # every message is computed from the field as it was before the sweep
         rng = np.random.default_rng(30)
         h, w, levels = 5, 6, 4
-        vol = CostVolume(rng.uniform(0, 2, size=(h, w, levels)), 2.0)
+        vol = CostVolume(rng.uniform(0, 2, size=(h, w, levels)))
         fld = MessageField(h, w, levels)
         fld.msgs = rng.uniform(0, 2, size=fld.msgs.shape)
         before = MessageField(h, w, levels)
         before.msgs = fld.msgs.copy()
-        cfg = BpConfig(schedule=Schedule.FULL, smoothness=SmoothnessParams(0.7, 1.5))
-        assert sweep(vol, fld, ConvergenceMask(h, w, 0.0), cfg) == h * w
+        cfg = BpConfig(epsilon=0.0, smoothness=SmoothnessParams(0.7, 1.5))
+        assert sweep(vol, fld, ConvergenceMask(h, w), cfg) == h * w
         for direction, (dx, dy) in _STEPS.items():
             for y in range(h):
                 for x in range(w):
@@ -173,17 +171,17 @@ class TestSweep:
     def test_fast_sweep_recomputes_only_active_senders(self):
         rng = np.random.default_rng(31)
         h, w, levels = 6, 7, 3
-        vol = CostVolume(rng.uniform(0, 2, size=(h, w, levels)), 2.0)
+        vol = CostVolume(rng.uniform(0, 2, size=(h, w, levels)))
         fld = MessageField(h, w, levels)
         fld.msgs = rng.uniform(0, 2, size=fld.msgs.shape)
         before = MessageField(h, w, levels)
         before.msgs = fld.msgs.copy()
-        mask = ConvergenceMask(h, w, 1e-3)
+        mask = ConvergenceMask(h, w)
         mask.active[...] = False
         for y, x in [(0, 0), (2, 3), (5, 6), (3, 0)]:
             mask.active[y, x] = True
         active = mask.active.copy()
-        cfg = BpConfig(schedule=Schedule.FAST)
+        cfg = BpConfig()
         assert sweep(vol, fld, mask, cfg) == int(active.sum())
         for direction, (dx, dy) in _STEPS.items():
             for y in range(h):
@@ -199,45 +197,46 @@ class TestSweep:
     @pytest.mark.parametrize("shape", [(1, 17), (17, 1)])
     def test_fast_epsilon_zero_matches_full_on_lines(self, shape):
         rng = np.random.default_rng(32)
-        vol = CostVolume(rng.uniform(0, 1, size=(*shape, 5)), 1.0)
-        fld_full, _, _ = _run(vol, 20, Schedule.FULL)
-        fld_fast, _, _ = _run(vol, 20, Schedule.FAST, epsilon=0.0)
-        assert np.array_equal(fld_full.msgs, fld_fast.msgs)
+        vol = CostVolume(rng.uniform(0, 1, size=(*shape, 5)))
+        fld_ref = jacobi_bp(vol, 20, SmoothnessParams())
+        fld_fast, total, _ = _run(vol, 20, epsilon=0.0)
+        assert np.array_equal(fld_ref.msgs, fld_fast.msgs)
+        assert total == 17 * 20
 
     def test_dimension_mismatch(self):
-        vol = CostVolume(np.zeros((3, 3, 2)), 1.0)
+        vol = CostVolume(np.zeros((3, 3, 2)))
         fld = MessageField(3, 4, 2)
         with pytest.raises(ValueError):
-            sweep(vol, fld, ConvergenceMask(3, 4, 0.0), BpConfig())
+            sweep(vol, fld, ConvergenceMask(3, 4), BpConfig())
 
 
 class TestExtractDisparity:
     def test_zero_messages_is_winner_take_all(self):
         rng = np.random.default_rng(26)
-        vol = CostVolume(rng.uniform(0, 1, size=(4, 4, 5)), 1.0)
+        vol = CostVolume(rng.uniform(0, 1, size=(4, 4, 5)))
         fld = MessageField(4, 4, 5)
         dm = extract_disparity(vol, fld)
         assert np.array_equal(dm.labels, np.argmin(vol.costs, axis=2))
 
     def test_tie_toward_smaller_disparity(self):
-        vol = CostVolume(np.array([[[3.0, 1.0, 1.0]]]), 5.0)
+        vol = CostVolume(np.array([[[3.0, 1.0, 1.0]]]))
         fld = MessageField(1, 1, 3)
         assert extract_disparity(vol, fld).labels[0, 0] == 1
 
 
 class TestLabelingEnergy:
     def test_single_pixel(self):
-        vol = CostVolume(np.array([[[0.3, 0.9]]]), 1.0)
+        vol = CostVolume(np.array([[[0.3, 0.9]]]))
         dm = DisparityMap(np.array([[1]], dtype=np.int32))
         assert labeling_energy(vol, dm, SmoothnessParams()) == pytest.approx(0.9)
 
     def test_truncated_pair(self):
-        vol = CostVolume(np.zeros((1, 2, 4)), 1.0)
+        vol = CostVolume(np.zeros((1, 2, 4)))
         dm = DisparityMap(np.array([[0, 3]], dtype=np.int32))
         assert labeling_energy(vol, dm, SmoothnessParams(1.0, 2.0)) == pytest.approx(2.0)
 
     def test_invalid_label_rejected(self):
-        vol = CostVolume(np.zeros((1, 2, 2)), 1.0)
+        vol = CostVolume(np.zeros((1, 2, 2)))
         dm = DisparityMap(np.array([[0, -1]], dtype=np.int32))
         with pytest.raises(ValueError):
             labeling_energy(vol, dm, SmoothnessParams())
@@ -247,7 +246,7 @@ class TestLabelingEnergy:
         p = SmoothnessParams(0.6, 1.4)
         for _ in range(10):
             h, w, levels = rng.integers(1, 5, size=3)
-            vol = CostVolume(rng.uniform(0, 3, size=(h, w, levels)), 3.0)
+            vol = CostVolume(rng.uniform(0, 3, size=(h, w, levels)))
             labels = rng.integers(0, levels, size=(h, w)).astype(np.int32)
             want = 0.0
             for y in range(h):

@@ -183,6 +183,22 @@ class TestMatch:
         assert _trace_rows(out)[-1][:2] == ["0", "6"]
         assert {row[0] for row in _trace_rows(out)} == {"0"}
 
+    def test_sweeps_alone_set_the_depth(self, tmp_path):
+        paths = _synth(tmp_path)
+        out = tmp_path / "d.pgm"
+        assert _match(paths, out, "--max-disp", "6", "--sweeps", "6", "--trace") == 0
+        assert {row[0] for row in _trace_rows(out)} == {"0"}
+
+    def test_schedule_full_is_epsilon_zero(self, tmp_path):
+        paths = _synth(tmp_path)
+        outputs = []
+        for name, flags in [("full", ["--schedule", "full", "--epsilon", "1e-3"]),
+                            ("fast", ["--schedule", "fast", "--epsilon", "0"])]:
+            out = tmp_path / f"{name}.pgm"
+            assert _match(paths, out, "--max-disp", "6", "--trace", *flags) == 0
+            outputs.append((out.read_bytes(), out.with_suffix(".pgm.trace.csv").read_bytes()))
+        assert outputs[0] == outputs[1]
+
 
 def _trace_rows(out):
     lines = out.with_suffix(".pgm.trace.csv").read_text().splitlines()
@@ -329,10 +345,10 @@ class TestFailFast:
     @pytest.mark.parametrize(
         "flags, reason",
         [
-            (["--scales", "4", "--sweeps", "3,3"], "one entry per scale"),
+            (["--scales", "4", "--sweeps", "3,3"], "--scales 4 but --sweeps has 2 budgets"),
             (["--sweeps", "3,x"], "--sweeps takes comma-separated integers"),
             (["--sweeps", "0,1,1,1"], "sweep budget must be >= 1"),
-            (["--scales", "0"], "scale_count must be >= 1"),
+            (["--scales", "0"], "--scales must be >= 1"),
             (["--max-disp", "0"], "--max-disp must be >= 1"),
             (["--window", "0"], "window_radius must be >= 1"),
             (["--epsilon", "-1"], "epsilon must be >= 0"),

@@ -1,14 +1,8 @@
 import numpy as np
 import pytest
 
-from stereo_bp import (
-    CostVolume,
-    GrayImage,
-    NccParams,
-    build_cost_volume,
-    downsample_volume,
-    ncc_score,
-)
+from stereo_bp import CostVolume, GrayImage, NccParams, build_cost_volume
+from stereo_bp.cost_volume import downsample_volume, ncc_score
 
 
 def _ncc_direct(a, b):
@@ -138,18 +132,18 @@ class TestDownsampleVolume:
     def test_block_sum(self):
         costs = np.zeros((2, 2, 2))
         costs[:, :, 1] = [[1, 2], [3, 4]]
-        coarse = downsample_volume(CostVolume(costs, 10.0))
+        coarse = downsample_volume(CostVolume(costs))
         assert coarse.costs.shape == (1, 1, 2)
         assert coarse.costs[0, 0].tolist() == [0.0, 10.0]
 
     def test_single_pixel_unchanged(self):
-        vol = CostVolume(np.array([[[0.5, 0.25]]]), 1.0)
+        vol = CostVolume(np.array([[[0.5, 0.25]]]))
         coarse = downsample_volume(vol)
         assert np.array_equal(coarse.costs, vol.costs)
 
     def test_odd_dimensions_match_double_loop_oracle(self):
         rng = np.random.default_rng(9)
-        vol = CostVolume(rng.uniform(0, 1, size=(7, 5, 3)), 1.0)
+        vol = CostVolume(rng.uniform(0, 1, size=(7, 5, 3)))
         coarse = downsample_volume(vol)
         assert coarse.costs.shape == (4, 3, 3)
         for cy in range(4):
@@ -164,7 +158,7 @@ class TestDownsampleVolume:
 
     def test_cost_mass_preserved_per_disparity(self):
         rng = np.random.default_rng(10)
-        vol = CostVolume(rng.uniform(0, 1, size=(9, 13, 4)), 1.0)
+        vol = CostVolume(rng.uniform(0, 1, size=(9, 13, 4)))
         coarse = downsample_volume(vol)
         assert np.allclose(
             coarse.costs.sum(axis=(0, 1)), vol.costs.sum(axis=(0, 1))

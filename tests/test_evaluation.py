@@ -8,11 +8,10 @@ from stereo_bp import (
     DisparityMap,
     SmoothnessParams,
     bad_pixel_rate,
-    exact_map_chain,
-    exact_map_grid_small,
     labeling_energy,
     make_stereogram,
 )
+from stereo_bp.evaluation import exact_map_chain, exact_map_grid_small
 
 
 def _dm(arr):
@@ -119,12 +118,12 @@ class TestExactMapChain:
 
 class TestExactMapGridSmall:
     def test_single_pixel(self):
-        vol = CostVolume(np.array([[[0.7, 0.1, 0.4]]]), 1.0)
+        vol = CostVolume(np.array([[[0.7, 0.1, 0.4]]]))
         labels, energy = exact_map_grid_small(vol, SmoothnessParams())
         assert labels.tolist() == [[1]] and energy == pytest.approx(0.1)
 
     def test_symmetric_costs_pick_all_zero(self):
-        vol = CostVolume(np.full((2, 2, 2), 0.25), 1.0)
+        vol = CostVolume(np.full((2, 2, 2), 0.25))
         labels, energy = exact_map_grid_small(vol, SmoothnessParams())
         assert labels.tolist() == [[0, 0], [0, 0]]
         assert energy == pytest.approx(1.0)
@@ -132,13 +131,13 @@ class TestExactMapGridSmall:
     def test_optimum_is_a_lower_bound(self):
         rng = np.random.default_rng(34)
         p = SmoothnessParams()
-        vol = CostVolume(rng.uniform(0, 1, size=(2, 3, 3)), 1.0)
+        vol = CostVolume(rng.uniform(0, 1, size=(2, 3, 3)))
         _, opt = exact_map_grid_small(vol, p)
         labels = rng.integers(0, 3, size=(2, 3)).astype(np.int32)
         assert opt <= labeling_energy(vol, DisparityMap(labels), p) + 1e-12
 
     def test_guard_rejects_large_instances(self):
-        vol = CostVolume(np.zeros((5, 5, 4)), 1.0)
+        vol = CostVolume(np.zeros((5, 5, 4)))
         with pytest.raises(ValueError):
             exact_map_grid_small(vol, SmoothnessParams())
 

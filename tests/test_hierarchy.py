@@ -4,25 +4,21 @@ import pytest
 from stereo_bp import (
     BpConfig,
     CostVolume,
-    MessageField,
     NccParams,
     PyramidConfig,
-    Schedule,
     SmoothnessParams,
     build_cost_volume,
-    build_pyramid,
-    extract_disparity,
     labeling_energy,
-    lift_messages,
     make_stereogram,
-    run_bp,
     run_hierarchical,
 )
+from stereo_bp.bp_engine import MessageField, extract_disparity, run_bp
+from stereo_bp.hierarchy import build_pyramid, lift_messages
 
 
 def _random_volume(h, w, levels, seed):
     rng = np.random.default_rng(seed)
-    return CostVolume(rng.uniform(0, 1, size=(h, w, levels)), cost_cap=1.0)
+    return CostVolume(rng.uniform(0, 1, size=(h, w, levels)))
 
 
 class TestBuildPyramid:
@@ -95,7 +91,7 @@ class TestLiftMessages:
 class TestRunHierarchical:
     def test_single_scale_matches_flat_run(self):
         vol = _random_volume(8, 8, 3, 7)
-        cfg = PyramidConfig(scale_count=1, sweeps_per_scale=[12])
+        cfg = PyramidConfig(sweeps_per_scale=[12])
         dm, _ = run_hierarchical(vol, cfg)
         fld = MessageField(8, 8, 3)
         run_bp(vol, fld, BpConfig(max_sweeps=12))
@@ -105,7 +101,7 @@ class TestRunHierarchical:
     def test_zero_shift_pair_labels_zero_interior(self):
         left, right, _ = make_stereogram(32, 32, 0, 3)
         vol = build_cost_volume(left, right, 4, NccParams())
-        cfg = PyramidConfig(scale_count=3, sweeps_per_scale=[5, 5, 10])
+        cfg = PyramidConfig(sweeps_per_scale=[5, 5, 10])
         dm, _ = run_hierarchical(vol, cfg)
         assert np.all(dm.labels[4:-4, 4:-4] == 0)
 
@@ -116,15 +112,13 @@ class TestRunHierarchical:
             left, right, _ = make_stereogram(32, 32, 3, seed)
             vol = build_cost_volume(left, right, 6, NccParams())
             hier_cfg = PyramidConfig(
-                scale_count=4,
                 sweeps_per_scale=[5, 5, 5, 5],
-                bp=BpConfig(schedule=Schedule.FULL),
+                bp=BpConfig(epsilon=0.0),
             )
             dm_h, _ = run_hierarchical(vol, hier_cfg)
             flat_cfg = PyramidConfig(
-                scale_count=1,
                 sweeps_per_scale=[20],
-                bp=BpConfig(schedule=Schedule.FULL),
+                bp=BpConfig(epsilon=0.0),
             )
             dm_f, _ = run_hierarchical(vol, flat_cfg)
             e_h = labeling_energy(vol, dm_h, smooth)
@@ -135,7 +129,7 @@ class TestRunHierarchical:
 
     def test_trace_has_scale_column(self):
         vol = _random_volume(8, 8, 2, 8)
-        cfg = PyramidConfig(scale_count=2, sweeps_per_scale=[3, 3])
+        cfg = PyramidConfig(sweeps_per_scale=[3, 3])
         _, trace = run_hierarchical(vol, cfg)
         scales = [row[0] for row in trace]
         assert scales[0] == 1 and scales[-1] == 0
@@ -145,4 +139,4 @@ class TestRunHierarchical:
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
-            PyramidConfig(scale_count=2, sweeps_per_scale=[3])
+            PyramidConfig(sweeps_per_scale=[])
