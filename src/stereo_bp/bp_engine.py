@@ -49,17 +49,14 @@ class SmoothnessParams:
 
 @dataclass
 class BpConfig:
-    max_sweeps: int = 30
     # a pixel stays active while its messages move by at least this;
     # 0 keeps every pixel active (the standard schedule)
     epsilon: float = 1e-3
     smoothness: SmoothnessParams = field(default_factory=SmoothnessParams)
 
     def __post_init__(self):
-        if self.max_sweeps < 1:
-            raise ValueError("max_sweeps must be >= 1")
-        if self.epsilon < 0:
-            raise ValueError("epsilon must be >= 0")
+        if not self.epsilon >= 0:  # NaN included
+            raise ValueError(f"epsilon must be >= 0, got {self.epsilon}")
 
 
 class MessageField:
@@ -93,10 +90,6 @@ class ConvergenceMask:
         self.last_delta = np.full((height, width), np.inf)
 
 
-def smoothness_cost(a, b, params):
-    return min(params.slope * abs(a - b), params.truncation)
-
-
 def _minconv_truncated_linear(h, slope, truncation):
     """min over d' of h[..., d'] + min(slope * |d - d'|, truncation), then
     min-normalized to 0, via the two-pass linear-time distance transform."""
@@ -110,18 +103,6 @@ def _minconv_truncated_linear(h, slope, truncation):
     np.minimum(m, floor + truncation, out=m)
     m -= floor
     return m
-
-
-def update_message(x, y, direction, volume, fld, params):
-    """Recompute the single message from pixel (x, y) toward its neighbor in
-    `direction` (a FROM_* constant naming the slot it fills at the receiver)
-    from the field's current messages. Returns the min-normalized vector."""
-    back, dy, dx = _SENDS[direction]
-    if not (0 <= x + dx < fld.width and 0 <= y + dy < fld.height):
-        raise ValueError(f"pixel ({x}, {y}) has no neighbor in direction {direction}")
-    msgs = fld.msgs
-    h = volume.costs[y, x] + msgs[:, y, x].sum(axis=0) - msgs[back, y, x]
-    return _minconv_truncated_linear(h, params.slope, params.truncation)
 
 
 def sweep(volume, fld, mask, config):
@@ -163,13 +144,15 @@ def sweep(volume, fld, mask, config):
     return ys.size
 
 
-def run_bp(volume, fld, config, trace=None, scale=None):
-    """Run up to max_sweeps sweeps, stopping once no pixel is active (never
+def run_bp(volume, fld, config, sweeps, trace=None, scale=None):
+    """Run up to `sweeps` sweeps, stopping once no pixel is active (never
     at epsilon 0). Appends (scale, sweep, active, max_delta, energy) rows
     to `trace` when given. Returns the total number of pixel updates."""
+    if sweeps < 1:
+        raise ValueError(f"sweeps must be >= 1, got {sweeps}")
     mask = ConvergenceMask(volume.height, volume.width)
     total = 0
-    for it in range(1, config.max_sweeps + 1):
+    for it in range(1, sweeps + 1):
         updated = sweep(volume, fld, mask, config)
         total += updated
         if trace is not None:

@@ -23,7 +23,7 @@ import sys
 from . import evaluation, pixmap_io
 from .bp_engine import BpConfig, SmoothnessParams
 from .cost_volume import NccParams, build_cost_volume
-from .hierarchy import PyramidConfig, run_hierarchical
+from .hierarchy import PyramidConfig, check_depth, run_hierarchical
 
 
 def _load_config_file(path, parser):
@@ -61,10 +61,10 @@ def build_parser():
 
     m = sub.add_parser("match", help="compute a disparity map from a stereo pair")
     m.add_argument("--config", help="key=value config file; flags win")
-    m.add_argument("--left", required=True)
-    m.add_argument("--right", required=True)
+    m.add_argument("--left")
+    m.add_argument("--right")
     m.add_argument("--truth", default=None)
-    m.add_argument("--out", required=True)
+    m.add_argument("--out")
     m.add_argument("--max-disp", type=int, default=20)
     m.add_argument("--scales", type=int, default=None)
     m.add_argument("--sweeps", default=None,
@@ -98,6 +98,10 @@ def build_parser():
 
 
 def cmd_match(args):
+    # not required by argparse, so that a config file can supply them
+    for name in ("left", "right", "out"):
+        if getattr(args, name) is None:
+            raise ValueError(f"--{name} is required")
     if args.disp_scale < 1:
         raise ValueError(f"--disp-scale must be >= 1, got {args.disp_scale}")
     top_gray = (args.max_disp - 1) * args.disp_scale
@@ -126,9 +130,12 @@ def cmd_match(args):
     if args.schedule == "full":  # every pixel updates every sweep
         bp.epsilon = 0.0
     pyramid = PyramidConfig(sweeps_per_scale=sweeps, bp=bp)
+    border = args.border if args.border is not None else args.max_disp
+    evaluation.check_scoring(args.threshold, border)
 
     left = pixmap_io.read_pgm(args.left)
     right = pixmap_io.read_pgm(args.right)
+    check_depth(left.height, left.width, len(sweeps))
     volume = build_cost_volume(left, right, args.max_disp, ncc)
     disparity, trace = run_hierarchical(volume, pyramid)
     disparity = pixmap_io.DisparityMap(disparity.labels, scale_factor=args.disp_scale)
@@ -143,7 +150,6 @@ def cmd_match(args):
 
     if args.truth is not None:
         truth = pixmap_io.read_disparity_pgm(args.truth, args.disp_scale)
-        border = args.border if args.border is not None else args.max_disp
         report = evaluation.bad_pixel_rate(
             disparity, truth, threshold=args.threshold, border=border
         )

@@ -13,8 +13,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .pixmap_io import GrayImage
-
 
 @dataclass
 class NccParams:
@@ -54,31 +52,6 @@ class CostVolume:
     @property
     def levels(self):
         return self.costs.shape[2]
-
-
-def ncc_score(left, right, x, y, d, r):
-    """Normalized cross correlation of the (2r+1)^2 windows at left (x, y)
-    and right (x - d, y). Returns 0 when either window has zero variance.
-
-    Both windows must lie fully inside their images; raises IndexError
-    otherwise (callers clamp or mark the border themselves).
-    """
-    lw = _window(left, x, y, r)
-    rw = _window(right, x - d, y, r)
-    a = lw - lw.mean()
-    b = rw - rw.mean()
-    denom = np.sqrt((a * a).sum() * (b * b).sum())
-    if denom == 0.0:
-        return 0.0
-    return float((a * b).sum() / denom)
-
-
-def _window(image, x, y, r):
-    img = image.samples if isinstance(image, GrayImage) else np.asarray(image)
-    h, w = img.shape
-    if x - r < 0 or x + r >= w or y - r < 0 or y + r >= h:
-        raise IndexError(f"window at ({x}, {y}) radius {r} exits {w}x{h} image")
-    return img[y - r : y + r + 1, x - r : x + r + 1].astype(np.float64)
 
 
 def _box_sums(arr, r):

@@ -1,20 +1,17 @@
-"""Disparity-map scoring and exact small-instance oracles.
+"""Disparity-map scoring and the random-dot stereogram fixture.
 
 bad_pixel_rate follows the Middlebury convention: a pixel is bad when its
 disparity error exceeds a threshold; unknown ground truth and a left
 border band (where windows shifted by the maximum disparity cannot exist)
-are excluded. The chain and tiny-grid solvers are exact and serve as
-ground truth for the BP engine.
+are excluded.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
-from .bp_engine import labeling_energy
 from .pixmap_io import INVALID, DisparityMap, GrayImage
 
 
@@ -34,6 +31,15 @@ class EvalReport:
         )
 
 
+def check_scoring(threshold, border):
+    """Reject a threshold that is not > 0 (NaN included) and a negative
+    border, which would exclude all but the last columns instead."""
+    if not threshold > 0:
+        raise ValueError(f"threshold must be > 0, got {threshold}")
+    if border < 0:
+        raise ValueError(f"border must be >= 0, got {border}")
+
+
 def bad_pixel_rate(result, truth, threshold=1.0, border=0):
     """Fraction of evaluated pixels with |d_result - d_truth| > threshold.
 
@@ -44,8 +50,7 @@ def bad_pixel_rate(result, truth, threshold=1.0, border=0):
             f"dimension mismatch: result {result.width}x{result.height} vs "
             f"truth {truth.width}x{truth.height}"
         )
-    if threshold <= 0:
-        raise ValueError("threshold must be > 0")
+    check_scoring(threshold, border)
     scored = truth.labels != INVALID
     scored[:, :border] = False
     total = result.labels.size
@@ -55,52 +60,6 @@ def bad_pixel_rate(result, truth, threshold=1.0, border=0):
     rate = bad / evaluated if evaluated else 0.0
     mae = float(err.mean()) if evaluated else 0.0
     return EvalReport(rate, threshold, evaluated, total - evaluated, mae)
-
-
-def exact_map_chain(costs, params):
-    """Exact MAP on a chain by Viterbi dynamic programming.
-
-    costs: (N, L) per-node cost vectors. Minimizes sum of node costs plus
-    truncated-linear jump costs between consecutive nodes; ties break
-    toward smaller labels at each backtrack step. Returns (labels, energy).
-    """
-    costs = np.asarray(costs, dtype=np.float64)
-    if costs.ndim != 2 or costs.shape[0] < 1:
-        raise ValueError("need a non-empty (N, L) cost array")
-    n, levels = costs.shape
-    d = np.arange(levels)
-    jump = np.minimum(params.slope * np.abs(d[:, None] - d[None, :]),
-                      params.truncation)  # (prev, next)
-    best = costs[0].copy()
-    back = np.zeros((n, levels), dtype=np.int64)
-    for i in range(1, n):
-        trans = best[:, None] + jump  # (prev, next)
-        back[i] = np.argmin(trans, axis=0)  # smallest prev label on ties
-        best = trans[back[i], d] + costs[i]
-    labels = np.empty(n, dtype=np.int32)
-    labels[-1] = int(np.argmin(best))
-    energy = float(best[labels[-1]])
-    for i in range(n - 1, 0, -1):
-        labels[i - 1] = back[i, labels[i]]
-    return labels, energy
-
-
-def exact_map_grid_small(volume, params):
-    """Exhaustive MAP over all labelings of a tiny grid; ties resolve to
-    the lexicographically smallest labeling (row-major pixel order).
-    Guarded to L^(W*H) <= 1e7 instances."""
-    h, w, levels = volume.costs.shape
-    if levels ** (h * w) > 10**7:
-        raise ValueError(f"{w}x{h} grid with {levels} labels is too large to enumerate")
-    best_labels = None
-    best_energy = np.inf
-    for assignment in itertools.product(range(levels), repeat=h * w):
-        labels = np.array(assignment, dtype=np.int32).reshape(h, w)
-        e = labeling_energy(volume, DisparityMap(labels), params)
-        if e < best_energy:
-            best_energy = e
-            best_labels = labels
-    return best_labels, float(best_energy)
 
 
 def make_stereogram(width, height, shift, seed):

@@ -7,7 +7,7 @@ copied down to its (up to) four children to initialize the finer scale.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -28,20 +28,24 @@ class PyramidConfig:
             raise ValueError("every sweep budget must be >= 1")
 
 
+def check_depth(height, width, depth):
+    """Reject a depth the pyramid of a height x width volume cannot reach:
+    level k is 1x1 once max(height, width) <= 2**k, and 1x1 is the coarsest."""
+    if depth < 1:
+        raise ValueError("pyramid depth must be >= 1")
+    if depth > 1 and max(height, width) <= 2 ** (depth - 2):
+        raise ValueError(
+            f"{depth} scales exceed what a {width}x{height} volume supports"
+        )
+
+
 def build_pyramid(volume, depth):
     """`depth` levels: level 0 is the input; each further level is the 2x2
     cost-sum coarsening of the previous one. Finest first."""
-    if depth < 1:
-        raise ValueError("pyramid depth must be >= 1")
+    check_depth(volume.height, volume.width, depth)
     levels = [volume]
     for _ in range(depth - 1):
-        prev = levels[-1]
-        if prev.width == 1 and prev.height == 1:
-            raise ValueError(
-                f"{depth} scales exceed what a "
-                f"{volume.width}x{volume.height} volume supports"
-            )
-        levels.append(downsample_volume(prev))
+        levels.append(downsample_volume(levels[-1]))
     return levels
 
 
@@ -75,6 +79,5 @@ def run_hierarchical(volume, config):
             fld = MessageField(vol.height, vol.width, vol.levels)
         else:
             fld = lift_messages(fld, vol.height, vol.width)
-        cfg = replace(config.bp, max_sweeps=sweeps)
-        run_bp(vol, fld, cfg, trace=trace, scale=scale)
+        run_bp(vol, fld, config.bp, sweeps, trace=trace, scale=scale)
     return extract_disparity(pyramid[0], fld), trace

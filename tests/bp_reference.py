@@ -1,17 +1,85 @@
-"""Scalar synchronous min-sum BP built from `update_message`, the
-reference that the vectorised sweep is compared against bit for bit."""
+"""Scalar references and exact oracles that the vectorised code in
+`stereo_bp` is checked against.
 
+- `smoothness_cost`, `ncc_score`: the pairwise jump cost and the windowed
+  NCC, one pair or one window at a time.
+- `update_message` and `jacobi_bp`: synchronous min-sum BP, one message at
+  a time. Neighbours come from this module's own `STEPS` and `BACK`
+  tables, not from the sweep's, so a wrong slot in either shows up as a
+  disagreement.
+- `exact_map_chain`, `exact_map_grid_small`: exact MAP on a chain
+  (Viterbi) and on a tiny grid (exhaustive search).
+
+Only the data types, the slot numbers, `labeling_energy` and the
+min-convolution kernel come from `stereo_bp`.
+"""
+
+import itertools
+
+import numpy as np
+
+from stereo_bp import DisparityMap, GrayImage, labeling_energy
 from stereo_bp.bp_engine import (
     FROM_DOWN,
     FROM_LEFT,
     FROM_RIGHT,
     FROM_UP,
     MessageField,
-    update_message,
+    _minconv_truncated_linear,
 )
 
 # receiver offset (dx, dy) of the message that fills each incoming slot
 STEPS = {FROM_LEFT: (1, 0), FROM_RIGHT: (-1, 0), FROM_UP: (0, 1), FROM_DOWN: (0, -1)}
+
+# the sender's slot holding what came from the receiver, which the message
+# toward the receiver leaves out
+BACK = {
+    FROM_LEFT: FROM_RIGHT,
+    FROM_RIGHT: FROM_LEFT,
+    FROM_UP: FROM_DOWN,
+    FROM_DOWN: FROM_UP,
+}
+
+
+def smoothness_cost(a, b, params):
+    return min(params.slope * abs(a - b), params.truncation)
+
+
+def ncc_score(left, right, x, y, d, r):
+    """Normalized cross correlation of the (2r+1)^2 windows at left (x, y)
+    and right (x - d, y). Returns 0 when either window has zero variance.
+
+    Both windows must lie fully inside their images; raises IndexError
+    otherwise (callers clamp or mark the border themselves).
+    """
+    lw = _window(left, x, y, r)
+    rw = _window(right, x - d, y, r)
+    a = lw - lw.mean()
+    b = rw - rw.mean()
+    denom = np.sqrt((a * a).sum() * (b * b).sum())
+    if denom == 0.0:
+        return 0.0
+    return float((a * b).sum() / denom)
+
+
+def _window(image, x, y, r):
+    img = image.samples if isinstance(image, GrayImage) else np.asarray(image)
+    h, w = img.shape
+    if x - r < 0 or x + r >= w or y - r < 0 or y + r >= h:
+        raise IndexError(f"window at ({x}, {y}) radius {r} exits {w}x{h} image")
+    return img[y - r : y + r + 1, x - r : x + r + 1].astype(np.float64)
+
+
+def update_message(x, y, direction, volume, fld, params):
+    """Recompute the single message from pixel (x, y) toward its neighbor in
+    `direction` (a FROM_* constant naming the slot it fills at the receiver)
+    from the field's current messages. Returns the min-normalized vector."""
+    dx, dy = STEPS[direction]
+    if not (0 <= x + dx < fld.width and 0 <= y + dy < fld.height):
+        raise ValueError(f"pixel ({x}, {y}) has no neighbor in direction {direction}")
+    msgs = fld.msgs
+    h = volume.costs[y, x] + msgs[:, y, x].sum(axis=0) - msgs[BACK[direction], y, x]
+    return _minconv_truncated_linear(h, params.slope, params.truncation)
 
 
 def jacobi_bp(volume, sweeps, params):
@@ -31,3 +99,49 @@ def jacobi_bp(volume, sweeps, params):
                             x, y, direction, volume, before, params
                         )
     return fld
+
+
+def exact_map_chain(costs, params):
+    """Exact MAP on a chain by Viterbi dynamic programming.
+
+    costs: (N, L) per-node cost vectors. Minimizes sum of node costs plus
+    truncated-linear jump costs between consecutive nodes; ties break
+    toward smaller labels at each backtrack step. Returns (labels, energy).
+    """
+    costs = np.asarray(costs, dtype=np.float64)
+    if costs.ndim != 2 or costs.shape[0] < 1:
+        raise ValueError("need a non-empty (N, L) cost array")
+    n, levels = costs.shape
+    d = np.arange(levels)
+    jump = np.minimum(params.slope * np.abs(d[:, None] - d[None, :]),
+                      params.truncation)  # (prev, next)
+    best = costs[0].copy()
+    back = np.zeros((n, levels), dtype=np.int64)
+    for i in range(1, n):
+        trans = best[:, None] + jump  # (prev, next)
+        back[i] = np.argmin(trans, axis=0)  # smallest prev label on ties
+        best = trans[back[i], d] + costs[i]
+    labels = np.empty(n, dtype=np.int32)
+    labels[-1] = int(np.argmin(best))
+    energy = float(best[labels[-1]])
+    for i in range(n - 1, 0, -1):
+        labels[i - 1] = back[i, labels[i]]
+    return labels, energy
+
+
+def exact_map_grid_small(volume, params):
+    """Exhaustive MAP over all labelings of a tiny grid; ties resolve to
+    the lexicographically smallest labeling (row-major pixel order).
+    Guarded to L^(W*H) <= 1e7 instances."""
+    h, w, levels = volume.costs.shape
+    if levels ** (h * w) > 10**7:
+        raise ValueError(f"{w}x{h} grid with {levels} labels is too large to enumerate")
+    best_labels = None
+    best_energy = np.inf
+    for assignment in itertools.product(range(levels), repeat=h * w):
+        labels = np.array(assignment, dtype=np.int32).reshape(h, w)
+        e = labeling_energy(volume, DisparityMap(labels), params)
+        if e < best_energy:
+            best_energy = e
+            best_labels = labels
+    return best_labels, float(best_energy)

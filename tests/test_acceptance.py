@@ -8,7 +8,7 @@ import time
 import numpy as np
 import pytest
 
-from bp_reference import jacobi_bp
+from bp_reference import exact_map_chain, exact_map_grid_small, jacobi_bp, ncc_score
 from stereo_bp import (
     BpConfig,
     CostVolume,
@@ -25,7 +25,6 @@ from stereo_bp import (
 )
 from stereo_bp.bp_engine import MessageField, extract_disparity, run_bp
 from stereo_bp.cli import main
-from stereo_bp.evaluation import exact_map_chain, exact_map_grid_small
 from stereo_bp.hierarchy import build_pyramid
 
 
@@ -36,8 +35,8 @@ def _report(name, ok):
 
 def _run_flat(volume, sweeps, epsilon, smooth):
     fld = MessageField(volume.height, volume.width, volume.levels)
-    cfg = BpConfig(max_sweeps=sweeps, epsilon=epsilon, smoothness=smooth)
-    total = run_bp(volume, fld, cfg)
+    cfg = BpConfig(epsilon=epsilon, smoothness=smooth)
+    total = run_bp(volume, fld, cfg, sweeps)
     return fld, total
 
 
@@ -178,7 +177,7 @@ def test_invariant_suite(stereogram_run, tmp_path):
     from stereo_bp.bp_engine import ConvergenceMask, sweep
 
     mask = ConvergenceMask(10, 10)
-    cfg = BpConfig(max_sweeps=1, epsilon=0.0)
+    cfg = BpConfig(epsilon=0.0)
     norm_ok = True
     for _ in range(8):
         sweep(vol, fld, mask, cfg)
@@ -188,7 +187,6 @@ def test_invariant_suite(stereogram_run, tmp_path):
 
     # NCC range and affine-intensity invariance
     from stereo_bp import GrayImage
-    from stereo_bp.cost_volume import ncc_score
 
     ncc_ok = True
     for _ in range(30):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from bp_reference import STEPS as _STEPS
-from bp_reference import jacobi_bp
+from bp_reference import exact_map_chain, jacobi_bp, smoothness_cost, update_message
 from stereo_bp import BpConfig, CostVolume, SmoothnessParams, labeling_energy
 from stereo_bp.bp_engine import (
     FROM_DOWN,
@@ -13,11 +13,8 @@ from stereo_bp.bp_engine import (
     MessageField,
     extract_disparity,
     run_bp,
-    smoothness_cost,
     sweep,
-    update_message,
 )
-from stereo_bp.evaluation import exact_map_chain
 from stereo_bp.pixmap_io import DisparityMap
 
 
@@ -29,11 +26,10 @@ def _chain_volume(costs):
 def _run(volume, sweeps, epsilon=0.0, smooth=None):
     fld = MessageField(volume.height, volume.width, volume.levels)
     cfg = BpConfig(
-        max_sweeps=sweeps,
         epsilon=epsilon,
         smoothness=smooth or SmoothnessParams(),
     )
-    total = run_bp(volume, fld, cfg)
+    total = run_bp(volume, fld, cfg, sweeps)
     return fld, total, cfg
 
 
@@ -102,7 +98,7 @@ class TestSweep:
         vol = CostVolume(rng.uniform(0, 1, size=(6, 7, 3)))
         fld = MessageField(6, 7, 3)
         mask = ConvergenceMask(6, 7)
-        cfg = BpConfig(max_sweeps=5, epsilon=0.0)
+        cfg = BpConfig(epsilon=0.0)
         for _ in range(5):
             sweep(vol, fld, mask, cfg)
             assert np.all(fld.msgs.min(axis=-1) < 1e-6)
@@ -123,8 +119,7 @@ class TestSweep:
         vol = CostVolume(costs)
         fld = MessageField(5, 5, 3)
         mask = ConvergenceMask(5, 5)
-        cfg = BpConfig(max_sweeps=1, epsilon=1e-3,
-                       smoothness=SmoothnessParams(1.0, 1.0))
+        cfg = BpConfig(epsilon=1e-3, smoothness=SmoothnessParams(1.0, 1.0))
         sweep(vol, fld, mask, cfg)
         sweep(vol, fld, mask, cfg)
         assert not mask.active.any()

@@ -232,6 +232,19 @@ class TestConfigFile:
         assert read_disparity_pgm(tmp_path / "cfg.pgm", 8).labels.max() <= 5
         assert {row[0] for row in _trace_rows(tmp_path / "cfg.pgm")} == {"0", "1"}
 
+    def test_file_supplies_the_paths(self, tmp_path, capsys):
+        paths = _synth(tmp_path)
+        cfg = tmp_path / "run.cfg"
+        lines = [f"left = {paths['left']}", f"right = {paths['right']}",
+                 "max-disp = 6", "scales = 2"]
+        cfg.write_text("\n".join(lines + [f"out = {tmp_path / 'cfg.pgm'}"]) + "\n")
+        assert main(["match", "--config", str(cfg)]) == 0
+        assert _match(paths, tmp_path / "flags.pgm", "--max-disp", "6", "--scales", "2") == 0
+        assert _sha(tmp_path / "cfg.pgm") == _sha(tmp_path / "flags.pgm")
+        cfg.write_text("\n".join(lines) + "\n")
+        assert main(["match", "--config", str(cfg)]) == 1
+        assert capsys.readouterr().err == "stereo-bp: --out is required\n"
+
     @pytest.mark.parametrize("value, written", [("true", True), ("False", False)])
     def test_trace_boolean(self, tmp_path, value, written):
         paths = _synth(tmp_path)
@@ -332,7 +345,11 @@ class TestEdgeShapes:
         assert labels.shape == (height, width)
         assert labels.min() >= 0 and labels.max() < levels
 
-    def test_scale_past_one_pixel_exits_one(self, tmp_path, capsys):
+    def test_scale_past_one_pixel_exits_one(self, tmp_path, capsys, monkeypatch):
+        def no_volume(*args):
+            raise AssertionError("the depth is checked before the cost volume")
+
+        monkeypatch.setattr("stereo_bp.cli.build_cost_volume", no_volume)
         paths = _random_pair(tmp_path, 8, 8)
         out = tmp_path / "o.pgm"
         assert _match(paths, out, "--scales", "5") == 1
@@ -352,6 +369,10 @@ class TestFailFast:
             (["--max-disp", "0"], "--max-disp must be >= 1"),
             (["--window", "0"], "window_radius must be >= 1"),
             (["--epsilon", "-1"], "epsilon must be >= 0"),
+            (["--epsilon", "nan"], "epsilon must be >= 0"),
+            (["--threshold", "nan"], "threshold must be > 0"),
+            (["--threshold", "0"], "threshold must be > 0"),
+            (["--border", "-1"], "border must be >= 0"),
         ],
     )
     def test_bad_config_rejected_before_reading(self, tmp_path, capsys, flags, reason):
@@ -386,6 +407,13 @@ class TestEval:
         out = capsys.readouterr().out.strip().split(",")
         assert float(out[0]) == pytest.approx(0.5)  # 2 of 4 off by 2
         assert out[2] == "4"
+
+    def test_negative_border_exits_one(self, tmp_path, capsys):
+        paths = _synth(tmp_path)
+        rc = main(["eval", "--result", str(paths["truth"]), "--truth", str(paths["truth"]),
+                   "--border", "-1"])
+        assert rc == 1
+        assert capsys.readouterr().err == "stereo-bp: border must be >= 0, got -1\n"
 
     def test_dimension_mismatch_names_both_sizes(self, tmp_path, capsys):
         a = tmp_path / "a.pgm"

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
+from bp_reference import ncc_score
 from stereo_bp import CostVolume, GrayImage, NccParams, build_cost_volume
-from stereo_bp.cost_volume import downsample_volume, ncc_score
+from stereo_bp.cost_volume import downsample_volume
 
 
 def _ncc_direct(a, b):

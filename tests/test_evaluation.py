@@ -3,6 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
+from bp_reference import exact_map_chain, exact_map_grid_small
 from stereo_bp import (
     CostVolume,
     DisparityMap,
@@ -11,7 +12,6 @@ from stereo_bp import (
     labeling_energy,
     make_stereogram,
 )
-from stereo_bp.evaluation import exact_map_chain, exact_map_grid_small
 
 
 def _dm(arr):

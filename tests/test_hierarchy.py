@@ -94,7 +94,7 @@ class TestRunHierarchical:
         cfg = PyramidConfig(sweeps_per_scale=[12])
         dm, _ = run_hierarchical(vol, cfg)
         fld = MessageField(8, 8, 3)
-        run_bp(vol, fld, BpConfig(max_sweeps=12))
+        run_bp(vol, fld, BpConfig(), 12)
         flat = extract_disparity(vol, fld)
         assert np.array_equal(dm.labels, flat.labels)
 
