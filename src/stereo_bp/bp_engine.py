@@ -11,6 +11,12 @@ pixel whose outgoing messages moved by less than epsilon is deactivated,
 and reactivated if an incoming message changes by epsilon or more. At
 epsilon 0 every pixel stays active, which is the standard synchronous
 schedule.
+
+Costs and messages keep their (H, W, L) and (4, H, W, L) shapes but are
+stored label-major, so every step works on whole (H, W) planes, one per
+label: the min-convolution runs along the label axis plane by plane, and a
+sweep in which every pixel is active reads and writes shifted slices of
+the planes instead of gathering pixels.
 """
 
 from __future__ import annotations
@@ -32,6 +38,14 @@ _SENDS = {
     FROM_RIGHT: (FROM_LEFT, 0, -1),
     FROM_UP: (FROM_DOWN, 1, 0),
     FROM_DOWN: (FROM_UP, -1, 0),
+}
+
+# Per offset along an axis: the slices of that axis holding the senders
+# and the receivers.
+_SHIFTS = {
+    1: (slice(None, -1), slice(1, None)),
+    -1: (slice(1, None), slice(None, -1)),
+    0: (slice(None), slice(None)),
 }
 
 
@@ -60,14 +74,18 @@ class BpConfig:
 
 
 class MessageField:
-    """Incoming messages in one (4, H, W, L) array `msgs`: four direction
-    slots per pixel, each a length-L vector.
+    """Incoming messages as a (4, H, W, L) array `msgs`: four direction
+    slots per pixel, each a length-L vector, stored label-major. Any
+    (4, H, W, L) array may be assigned to `msgs`; another memory layout
+    gives the same results, only more slowly.
 
     Slots on edges arriving from outside the image stay identically zero.
     """
 
     def __init__(self, height, width, levels):
-        self.msgs = np.zeros((4, height, width, levels), dtype=np.float64)
+        # Stored label-major: msgs.transpose(0, 3, 1, 2) is a C-contiguous
+        # (4, L, H, W) array, so the sweep works on whole (H, W) planes.
+        self.msgs = np.zeros((4, levels, height, width)).transpose(0, 2, 3, 1)
 
     @property
     def height(self):
@@ -91,57 +109,109 @@ class ConvergenceMask:
 
 
 def _minconv_truncated_linear(h, slope, truncation):
-    """min over d' of h[..., d'] + min(slope * |d - d'|, truncation), then
-    min-normalized to 0, via the two-pass linear-time distance transform."""
-    m = h.copy()
-    levels = m.shape[-1]
-    for d in range(1, levels):
-        np.minimum(m[..., d], m[..., d - 1] + slope, out=m[..., d])
-    for d in range(levels - 2, -1, -1):
-        np.minimum(m[..., d], m[..., d + 1] + slope, out=m[..., d])
-    floor = np.min(h, axis=-1, keepdims=True)
-    np.minimum(m, floor + truncation, out=m)
-    m -= floor
-    return m
+    """min over d' of h[d', ...] + min(slope * |d - d'|, truncation), then
+    min-normalized to 0, via the two-pass linear-time distance transform.
+    Labels run along axis 0, so each step is one whole-plane operation.
+    Works in place: h is overwritten with the result, which is returned."""
+    floor = np.min(h, axis=0, keepdims=True)
+    for d in range(1, h.shape[0]):
+        np.minimum(h[d, ...], h[d - 1, ...] + slope, out=h[d, ...])
+    for d in range(h.shape[0] - 2, -1, -1):
+        np.minimum(h[d, ...], h[d + 1, ...] + slope, out=h[d, ...])
+    np.minimum(h, floor + truncation, out=h)
+    h -= floor
+    return h
+
+
+def _belief(costs, msgs):
+    """costs + (((m0 + m1) + m2) + m3), summed in that order everywhere so
+    that every layout gives the same bits."""
+    total = msgs[0] + msgs[1]
+    total += msgs[2]
+    total += msgs[3]
+    total += costs
+    return total
 
 
 def sweep(volume, fld, mask, config):
-    """One synchronous sweep over the active pixels. Their outgoing
-    messages are all computed before any is written, so each reads the
-    pre-sweep field. Returns the number of pixels updated."""
+    """One synchronous sweep over the active pixels: each of their
+    outgoing messages is computed from the field as it stood before the
+    sweep. Returns the number of pixels updated.
+
+    When every pixel is active, each slot's senders and receivers are two
+    shifted slices of the label-major (L, H, W) planes; otherwise the
+    active senders are gathered into (L, n) columns. Both give the same
+    bits."""
+    return _sweep(volume, fld, mask, config, dense=bool(mask.active.all()))
+
+
+def _sweep(volume, fld, mask, config, dense):
+    """`sweep` by shifted slices (`dense`, which needs every pixel active)
+    or by gathered columns."""
     if (fld.height, fld.width, fld.levels) != (volume.height, volume.width, volume.levels):
         raise ValueError("message field and cost volume dimensions disagree")
     params = config.smoothness
-    msgs = fld.msgs
+    costs = volume.costs.transpose(2, 0, 1)  # (L, H, W)
+    msgs = fld.msgs.transpose(0, 3, 1, 2)  # (4, L, H, W)
     h, w = fld.height, fld.width
-    ys, xs = np.nonzero(mask.active)
-    base = volume.costs[ys, xs] + msgs[:, ys, xs].sum(axis=0)
+    active = mask.active
 
-    sends = []
-    for slot, (back, dy, dx) in _SENDS.items():
+    if dense:
+        base = _belief(costs, msgs)
+    else:
+        # np.take and np.put over flat pixel indices keep the gathered
+        # (L, n) columns label-major, whatever the layout of the field
+        ys, xs = np.nonzero(active)
+        flat, levels = ys * w + xs, fld.levels
+        incoming = np.take(msgs.reshape(4, levels, -1), flat, axis=2)
+        base = _belief(np.take(costs.reshape(levels, -1), flat, axis=1), incoming)
+        planes = h * w * np.arange(levels)[:, None]  # offset of each label plane
+
+    def prepare(slot):
+        """The senders and receivers of `slot` as (H, W) indices, and h
+        toward each receiver: data + all incoming but the one it sent."""
+        back, dy, dx = _SENDS[slot]
+        if dense:
+            (sy, ry), (sx, rx) = _SHIFTS[dy], _SHIFTS[dx]
+            return (sy, sx), (ry, rx), base[:, sy, sx] - msgs[back][:, sy, sx]
         qy, qx = ys + dy, xs + dx
         has = (qy >= 0) & (qy < h) & (qx >= 0) & (qx < w)
-        # h toward q = data + all incoming except the one that came from q
-        hq = base[has] - msgs[back, ys[has], xs[has]]
-        msg = _minconv_truncated_linear(hq, params.slope, params.truncation)
-        sends.append((slot, has, qy[has], qx[has], msg))
+        hq = np.compress(has, base, axis=1) - np.compress(has, incoming[back], axis=1)
+        return (ys[has], xs[has]), (qy[has], qx[has]), hq
 
     # a sender's outgoing change is the most any slot it writes moves;
     # a receiver's incoming change, the most any of its slots moves
-    out_delta = np.zeros(ys.size)
+    out_delta = np.zeros((h, w))
     incoming_delta = np.zeros((h, w))
-    for slot, has, qy, qx, msg in sends:
-        delta = np.abs(msg - msgs[slot, qy, qx]).max(axis=-1)
-        msgs[slot, qy, qx] = msg
-        out_delta[has] = np.maximum(out_delta[has], delta)
-        incoming_delta[qy, qx] = np.maximum(incoming_delta[qy, qx], delta)
 
-    mask.last_delta[ys, xs] = out_delta
-    active = np.zeros_like(mask.active)
-    active[ys, xs] = out_delta >= config.epsilon
-    active |= incoming_delta >= config.epsilon
-    mask.active = active
-    return ys.size
+    def send(slot, src, dst, hq):
+        msg = _minconv_truncated_linear(hq, params.slope, params.truncation)
+        ry, rx = dst
+        if dense:
+            change = msg - msgs[slot][:, ry, rx]
+            msgs[slot][:, ry, rx] = msg
+        else:
+            at = planes + (ry * w + rx)
+            change = msg - np.take(msgs[slot], at)
+            np.put(msgs[slot], at, msg)
+        delta = np.abs(change, out=change).max(axis=0)
+        out_delta[src] = np.maximum(out_delta[src], delta)
+        incoming_delta[dst] = np.maximum(incoming_delta[dst], delta)
+
+    # opposite slots read each other (a message leaves out what came from
+    # its receiver), so both of a pair are prepared before either is sent;
+    # one pair at a time, each batch dropped once sent, so that at most two
+    # are held at once
+    for pair in ((FROM_LEFT, FROM_RIGHT), (FROM_UP, FROM_DOWN)):
+        batches = [(slot, *prepare(slot)) for slot in pair]
+        while batches:
+            send(*batches.pop())
+
+    np.copyto(mask.last_delta, out_delta, where=active)
+    # a pixel that sent nothing has out_delta 0: inactive at any epsilon > 0
+    # unless reactivated, and at epsilon 0 every pixel stays active anyway
+    mask.active = (out_delta >= config.epsilon) | (incoming_delta >= config.epsilon)
+    return int(np.count_nonzero(active))
 
 
 def run_bp(volume, fld, config, sweeps, trace=None, scale=None):
@@ -168,8 +238,14 @@ def run_bp(volume, fld, config, sweeps, trace=None, scale=None):
 def extract_disparity(volume, fld):
     """MAP labeling: per-pixel argmin of data cost plus all incoming
     messages, ties toward smaller disparity."""
-    belief = volume.costs + fld.msgs.sum(axis=0)
-    return DisparityMap(np.argmin(belief, axis=2).astype(np.int32))
+    belief = _belief(volume.costs.transpose(2, 0, 1), fld.msgs.transpose(0, 3, 1, 2))
+    # scan the (H, W) planes from the top label down, so that the last
+    # label written at a pixel is its smallest minimizer
+    best = belief.min(axis=0)
+    labels = np.zeros(best.shape, dtype=np.int32)
+    for d in range(belief.shape[0] - 1, -1, -1):
+        labels[belief[d] == best] = d
+    return DisparityMap(labels)
 
 
 def labeling_energy(volume, disparity, params):

@@ -136,6 +136,11 @@ def cmd_match(args):
     left = pixmap_io.read_pgm(args.left)
     right = pixmap_io.read_pgm(args.right)
     check_depth(left.height, left.width, len(sweeps))
+    if args.truth is not None and border >= left.width:
+        raise ValueError(
+            f"--border {border} leaves no column of the {left.width}-pixel-wide "
+            f"image to score"
+        )
     volume = build_cost_volume(left, right, args.max_disp, ncc)
     disparity, trace = run_hierarchical(volume, pyramid)
     disparity = pixmap_io.DisparityMap(disparity.labels, scale_factor=args.disp_scale)
@@ -160,11 +165,6 @@ def cmd_match(args):
 def cmd_eval(args):
     result = pixmap_io.read_disparity_pgm(args.result, args.disp_scale)
     truth = pixmap_io.read_disparity_pgm(args.truth, args.disp_scale)
-    if result.labels.shape != truth.labels.shape:
-        raise ValueError(
-            f"dimension mismatch: {result.width}x{result.height} vs "
-            f"{truth.width}x{truth.height}"
-        )
     report = evaluation.bad_pixel_rate(
         result, truth, threshold=args.threshold, border=args.border
     )

@@ -30,14 +30,18 @@ class NccParams:
 @dataclass
 class CostVolume:
     """Per-pixel matching costs over every disparity in [0, levels):
-    a finite, non-negative (height, width, levels) float64 array."""
+    a finite, non-negative (height, width, levels) float64 array, stored
+    label-major."""
 
     costs: np.ndarray
 
     def __post_init__(self):
-        self.costs = np.asarray(self.costs, dtype=np.float64)
-        if self.costs.ndim != 3:
+        c = np.asarray(self.costs, dtype=np.float64)
+        if c.ndim != 3:
             raise ValueError("costs must be (height, width, levels)")
+        # Stored label-major: costs.transpose(2, 0, 1) is a C-contiguous
+        # (L, H, W) array, so BP reads whole (H, W) planes per label.
+        self.costs = np.ascontiguousarray(c.transpose(2, 0, 1)).transpose(1, 2, 0)
         if not np.all(np.isfinite(self.costs)) or self.costs.min() < 0:
             raise ValueError("costs must be finite and non-negative")
 
@@ -65,7 +69,8 @@ def _box_sums(arr, r):
 
 def build_cost_volume(left, right, levels, params):
     """Build the (H, W, L) truncated NCC cost volume with the left view as
-    reference: disparity d matches left (x, y) to right (x - d, y)."""
+    reference: disparity d matches left (x, y) to right (x - d, y). Each
+    disparity fills one (H, W) plane of the label-major storage."""
     li = left.samples.astype(np.float64)
     ri = right.samples.astype(np.float64)
     if li.shape != ri.shape:
@@ -77,7 +82,7 @@ def build_cost_volume(left, right, levels, params):
     r = params.window_radius
     tau = params.data_truncation
     lam = params.data_weight
-    costs = np.full((h, w, levels), tau, dtype=np.float64)
+    costs = np.full((levels, h, w), tau, dtype=np.float64)
 
     k2 = (2 * r + 1) ** 2
     iw = w - 2 * r  # interior width/height where windows fit
@@ -100,9 +105,9 @@ def build_cost_volume(left, right, levels, params):
             with np.errstate(invalid="ignore", divide="ignore"):
                 ncc = np.where(denom > 0, num / np.sqrt(np.maximum(denom, 0)), 0.0)
             ncc = np.clip(ncc, -1.0, 1.0)
-            costs[r : r + ih, r + d : w - r, d] = np.minimum(lam * (1.0 - ncc), tau)
+            costs[d, r : r + ih, r + d : w - r] = np.minimum(lam * (1.0 - ncc), tau)
 
-    return CostVolume(costs)
+    return CostVolume(costs.transpose(1, 2, 0))
 
 
 def downsample_volume(volume):

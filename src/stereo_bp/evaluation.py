@@ -44,7 +44,8 @@ def bad_pixel_rate(result, truth, threshold=1.0, border=0):
     """Fraction of evaluated pixels with |d_result - d_truth| > threshold.
 
     Pixels with INVALID truth or within `border` columns of the left edge
-    are excluded from scoring."""
+    are excluded from scoring. Raises ValueError when that leaves nothing
+    to score."""
     if result.labels.shape != truth.labels.shape:
         raise ValueError(
             f"dimension mismatch: result {result.width}x{result.height} vs "
@@ -55,11 +56,15 @@ def bad_pixel_rate(result, truth, threshold=1.0, border=0):
     scored[:, :border] = False
     total = result.labels.size
     evaluated = int(np.count_nonzero(scored))
+    if not evaluated:
+        raise ValueError(
+            f"nothing to score: a border of {border} columns and the INVALID "
+            f"truth pixels exclude all {total} pixels"
+        )
     err = np.abs(result.labels - truth.labels)[scored]
     bad = int(np.count_nonzero(err > threshold))
-    rate = bad / evaluated if evaluated else 0.0
-    mae = float(err.mean()) if evaluated else 0.0
-    return EvalReport(rate, threshold, evaluated, total - evaluated, mae)
+    return EvalReport(bad / evaluated, threshold, evaluated, total - evaluated,
+                      float(err.mean()))
 
 
 def make_stereogram(width, height, shift, seed):

@@ -9,8 +9,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from .bp_engine import BpConfig, MessageField, extract_disparity, run_bp
 from .cost_volume import downsample_volume
 
@@ -58,8 +56,14 @@ def lift_messages(coarse, fine_height, fine_width):
             f"of fine {fine_width}x{fine_height}"
         )
     fine = MessageField(fine_height, fine_width, coarse.levels)
-    up = np.repeat(np.repeat(coarse.msgs, 2, axis=1), 2, axis=2)
-    fine.msgs[...] = up[:, :fine_height, :fine_width]
+    src = coarse.msgs.transpose(0, 3, 1, 2)  # label-major (4, L, h, w)
+    dst = fine.msgs.transpose(0, 3, 1, 2)
+    # the fine pixels at each (y % 2, x % 2) offset form a copy of the
+    # coarse grid, cut short at an odd edge
+    for oy in (0, 1):
+        for ox in (0, 1):
+            part = dst[:, :, oy::2, ox::2]
+            part[...] = src[:, :, : part.shape[2], : part.shape[3]]
     return fine
 
 

@@ -2,7 +2,13 @@ import numpy as np
 import pytest
 
 from bp_reference import STEPS as _STEPS
-from bp_reference import exact_map_chain, jacobi_bp, smoothness_cost, update_message
+from bp_reference import (
+    exact_map_chain,
+    jacobi_bp,
+    scheduled_bp,
+    smoothness_cost,
+    update_message,
+)
 from stereo_bp import BpConfig, CostVolume, SmoothnessParams, labeling_energy
 from stereo_bp.bp_engine import (
     FROM_DOWN,
@@ -11,6 +17,7 @@ from stereo_bp.bp_engine import (
     FROM_UP,
     ConvergenceMask,
     MessageField,
+    _sweep,
     extract_disparity,
     run_bp,
     sweep,
@@ -205,6 +212,61 @@ class TestSweep:
             sweep(vol, fld, ConvergenceMask(3, 4), BpConfig())
 
 
+# (height, width, levels, seed): seeded 8x8 grids, then the edge shapes
+SCHEDULE_CASES = [(8, 8, 4, seed) for seed in range(4)] + [
+    (1, 1, 4, 9), (1, 17, 4, 9), (17, 1, 4, 9), (6, 5, 1, 9)]
+
+
+class TestSchedule:
+    @pytest.mark.parametrize("epsilon", [1e-3, 0.05])
+    @pytest.mark.parametrize("case", SCHEDULE_CASES)
+    def test_matches_scalar_scheduled_reference(self, case, epsilon):
+        h, w, levels, seed = case
+        vol = CostVolume(np.random.default_rng(seed).uniform(0, 1, size=(h, w, levels)))
+        want_fld, want_masks, want_total = scheduled_bp(vol, 12, SmoothnessParams(), epsilon)
+
+        fld, total, cfg = _run(vol, 12, epsilon=epsilon)
+        assert np.array_equal(fld.msgs, want_fld.msgs)
+        assert total == want_total
+
+        fld = MessageField(h, w, levels)
+        mask = ConvergenceMask(h, w)
+        for want in want_masks:
+            sweep(vol, fld, mask, cfg)
+            assert np.array_equal(mask.active, want)
+        assert np.array_equal(fld.msgs, want_fld.msgs)
+
+    def test_reference_exercises_partial_masks(self):
+        # the 8x8 cases above must reach the gathered path, and reactivate
+        h, w, levels, seed = SCHEDULE_CASES[0]
+        vol = CostVolume(np.random.default_rng(seed).uniform(0, 1, size=(h, w, levels)))
+        _, masks, _ = scheduled_bp(vol, 12, SmoothnessParams(), 1e-3)
+        counts = [int(m.sum()) for m in masks]
+        assert any(0 < c < h * w for c in counts)
+        assert any(b > a for a, b in zip(counts, counts[1:]))
+
+    @pytest.mark.parametrize("epsilon", [0.0, 1e-3])
+    @pytest.mark.parametrize("shape", [(7, 9, 5), (1, 6, 3), (6, 1, 3), (1, 1, 2)])
+    def test_gathered_path_agrees_with_shifted_slices(self, shape, epsilon):
+        rng = np.random.default_rng(33)
+        vol = CostVolume(rng.uniform(0, 2, size=shape))
+        start = rng.uniform(0, 2, size=(4, *shape))
+        cfg = BpConfig(epsilon=epsilon, smoothness=SmoothnessParams(0.7, 1.5))
+        runs = []
+        for dense in (True, False):
+            fld = MessageField(*shape)
+            fld.msgs[...] = start
+            run = []
+            for _ in range(3):  # each sweep from an all-true mask
+                mask = ConvergenceMask(*shape[:2])
+                updated = _sweep(vol, fld, mask, cfg, dense=dense)
+                run.append((fld.msgs.copy(), mask.active, mask.last_delta, updated))
+            runs.append(run)
+        for (m1, a1, d1, n1), (m2, a2, d2, n2) in zip(*runs):
+            assert np.array_equal(m1, m2)
+            assert np.array_equal(a1, a2) and np.array_equal(d1, d2) and n1 == n2
+
+
 class TestExtractDisparity:
     def test_zero_messages_is_winner_take_all(self):
         rng = np.random.default_rng(26)
@@ -217,6 +279,14 @@ class TestExtractDisparity:
         vol = CostVolume(np.array([[[3.0, 1.0, 1.0]]]))
         fld = MessageField(1, 1, 3)
         assert extract_disparity(vol, fld).labels[0, 0] == 1
+
+    def test_ties_against_argmin(self):
+        rng = np.random.default_rng(34)
+        vol = CostVolume(rng.integers(0, 3, size=(5, 6, 4)).astype(float))
+        fld = MessageField(5, 6, 4)
+        fld.msgs[...] = rng.integers(0, 2, size=fld.msgs.shape)
+        belief = vol.costs + fld.msgs.sum(axis=0)
+        assert np.array_equal(extract_disparity(vol, fld).labels, np.argmin(belief, axis=2))
 
 
 class TestLabelingEnergy:

@@ -357,6 +357,19 @@ class TestEdgeShapes:
         assert err.startswith("stereo-bp:") and err.count("\n") == 1
         assert not out.exists()
 
+    def test_border_past_the_width_exits_before_the_volume(self, tmp_path, capsys,
+                                                           monkeypatch):
+        def no_volume(*args):
+            raise AssertionError("the border is checked before the cost volume")
+
+        monkeypatch.setattr("stereo_bp.cli.build_cost_volume", no_volume)
+        paths = _synth(tmp_path)
+        out = tmp_path / "o.pgm"
+        assert _match(paths, out, "--truth", str(paths["truth"]), "--border", "48") == 1
+        assert capsys.readouterr().err == (
+            "stereo-bp: --border 48 leaves no column of the 48-pixel-wide image to score\n")
+        assert not out.exists()
+
 
 class TestFailFast:
     @pytest.mark.parametrize(
@@ -414,6 +427,15 @@ class TestEval:
                    "--border", "-1"])
         assert rc == 1
         assert capsys.readouterr().err == "stereo-bp: border must be >= 0, got -1\n"
+
+    def test_border_covering_the_width_exits_one(self, tmp_path, capsys):
+        paths = _synth(tmp_path)
+        rc = main(["eval", "--result", str(paths["truth"]), "--truth", str(paths["truth"]),
+                   "--border", "48"])
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("stereo-bp: nothing to score")
+        assert captured.out == ""
 
     def test_dimension_mismatch_names_both_sizes(self, tmp_path, capsys):
         a = tmp_path / "a.pgm"

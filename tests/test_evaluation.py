@@ -5,6 +5,7 @@ import pytest
 
 from bp_reference import exact_map_chain, exact_map_grid_small
 from stereo_bp import (
+    INVALID,
     CostVolume,
     DisparityMap,
     SmoothnessParams,
@@ -57,11 +58,14 @@ class TestBadPixelRate:
                     err_sum += err
                     if err > thr:
                         bad += 1
+            if total == 0:
+                with pytest.raises(ValueError, match="nothing to score"):
+                    bad_pixel_rate(_dm(result), _dm(truth), thr, border)
+                continue
             report = bad_pixel_rate(_dm(result), _dm(truth), thr, border)
             assert report.evaluated_count == total
-            if total:
-                assert report.bad_pixel_rate == pytest.approx(bad / total)
-                assert report.mean_abs_error == pytest.approx(err_sum / total)
+            assert report.bad_pixel_rate == pytest.approx(bad / total)
+            assert report.mean_abs_error == pytest.approx(err_sum / total)
 
     def test_symmetric_without_exclusions(self):
         rng = np.random.default_rng(32)
@@ -74,6 +78,16 @@ class TestBadPixelRate:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError, match="2x1.*3x1"):
             bad_pixel_rate(_dm([[0, 0]]), _dm([[0, 0, 0]]))
+
+    def test_border_covering_the_width_scores_nothing(self):
+        dm = _dm([[1, 2, 3]])
+        with pytest.raises(ValueError, match="nothing to score"):
+            bad_pixel_rate(dm, dm, border=3)
+        assert bad_pixel_rate(dm, dm, border=2).evaluated_count == 1
+
+    def test_all_invalid_truth_scores_nothing(self):
+        with pytest.raises(ValueError, match="nothing to score"):
+            bad_pixel_rate(_dm([[1, 2]]), _dm([[INVALID, INVALID]]))
 
     def test_csv_line(self):
         dm = _dm([[1]])
