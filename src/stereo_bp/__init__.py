@@ -12,7 +12,6 @@ from .pixmap_io import (
     PgmError,
     read_disparity_pgm,
     read_pgm,
-    to_grayscale,
     write_pgm,
 )
 

@@ -75,17 +75,19 @@ class BpConfig:
 
 class MessageField:
     """Incoming messages as a (4, H, W, L) array `msgs`: four direction
-    slots per pixel, each a length-L vector, stored label-major. Any
-    (4, H, W, L) array may be assigned to `msgs`; another memory layout
-    gives the same results, only more slowly.
+    slots per pixel, each a length-L vector, stored label-major in the
+    given dtype (float64 unless told otherwise; the pipeline passes the
+    cost volume's dtype, float32 for a built volume). Any (4, H, W, L)
+    array may be assigned to `msgs`; another memory layout gives the same
+    results, only more slowly.
 
     Slots on edges arriving from outside the image stay identically zero.
     """
 
-    def __init__(self, height, width, levels):
+    def __init__(self, height, width, levels, dtype=np.float64):
         # Stored label-major: msgs.transpose(0, 3, 1, 2) is a C-contiguous
         # (4, L, H, W) array, so the sweep works on whole (H, W) planes.
-        self.msgs = np.zeros((4, levels, height, width)).transpose(0, 2, 3, 1)
+        self.msgs = np.zeros((4, levels, height, width), dtype=dtype).transpose(0, 2, 3, 1)
 
     @property
     def height(self):
@@ -258,7 +260,8 @@ def labeling_energy(volume, disparity, params):
         raise ValueError("labeling contains INVALID pixels")
     h, w = labels.shape
     yy, xx = np.mgrid[0:h, 0:w]
-    data = volume.costs[yy, xx, labels].sum()
+    # accumulated in float64: a float32 sum over a whole frame loses digits
+    data = volume.costs[yy, xx, labels].sum(dtype=np.float64)
     s, t = params.slope, params.truncation
     dh = np.minimum(s * np.abs(labels[:, 1:] - labels[:, :-1]), t).sum()
     dv = np.minimum(s * np.abs(labels[1:, :] - labels[:-1, :]), t).sum()

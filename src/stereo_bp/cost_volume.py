@@ -30,13 +30,16 @@ class NccParams:
 @dataclass
 class CostVolume:
     """Per-pixel matching costs over every disparity in [0, levels):
-    a finite, non-negative (height, width, levels) float64 array, stored
-    label-major."""
+    a finite, non-negative (height, width, levels) float32 or float64
+    array, stored label-major. A float32 array stays float32; anything
+    else is converted to float64. Messages take the volume's dtype."""
 
     costs: np.ndarray
 
     def __post_init__(self):
-        c = np.asarray(self.costs, dtype=np.float64)
+        c = np.asarray(self.costs)
+        if c.dtype != np.float32:
+            c = c.astype(np.float64, copy=False)
         if c.ndim != 3:
             raise ValueError("costs must be (height, width, levels)")
         # Stored label-major: costs.transpose(2, 0, 1) is a C-contiguous
@@ -70,7 +73,8 @@ def _box_sums(arr, r):
 def build_cost_volume(left, right, levels, params):
     """Build the (H, W, L) truncated NCC cost volume with the left view as
     reference: disparity d matches left (x, y) to right (x - d, y). Each
-    disparity fills one (H, W) plane of the label-major storage."""
+    disparity fills one (H, W) plane of the label-major storage. NCC is
+    computed in float64; the costs are stored in float32."""
     li = left.samples.astype(np.float64)
     ri = right.samples.astype(np.float64)
     if li.shape != ri.shape:
@@ -82,7 +86,7 @@ def build_cost_volume(left, right, levels, params):
     r = params.window_radius
     tau = params.data_truncation
     lam = params.data_weight
-    costs = np.full((levels, h, w), tau, dtype=np.float64)
+    costs = np.full((levels, h, w), tau, dtype=np.float32)
 
     k2 = (2 * r + 1) ** 2
     iw = w - 2 * r  # interior width/height where windows fit
@@ -112,11 +116,14 @@ def build_cost_volume(left, right, levels, params):
 
 def downsample_volume(volume):
     """Coarsen by summing costs over 2x2 blocks (ceil-halved dimensions,
-    same disparity range)."""
+    same disparity range and dtype). Each block is summed as
+    ((a00 + a01) + a10) + a11 on the label-major planes, an odd edge
+    padded with zeros."""
     h, w, levels = volume.costs.shape
     ch, cw = (h + 1) // 2, (w + 1) // 2
-    padded = np.zeros((2 * ch, 2 * cw, levels), dtype=np.float64)
-    padded[:h, :w] = volume.costs
-    coarse = padded.reshape(ch, 2, cw, 2, levels).sum(axis=(1, 3))
-    return CostVolume(coarse)
-
+    padded = np.zeros((levels, 2 * ch, 2 * cw), dtype=volume.costs.dtype)
+    padded[:, :h, :w] = volume.costs.transpose(2, 0, 1)
+    coarse = padded[:, 0::2, 0::2] + padded[:, 0::2, 1::2]
+    coarse += padded[:, 1::2, 0::2]
+    coarse += padded[:, 1::2, 1::2]
+    return CostVolume(coarse.transpose(1, 2, 0))

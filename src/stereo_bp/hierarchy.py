@@ -48,14 +48,15 @@ def build_pyramid(volume, depth):
 
 
 def lift_messages(coarse, fine_height, fine_width):
-    """Initialize a fine-scale field by giving each fine pixel a copy of
-    its parent pixel (x // 2, y // 2)'s message vectors."""
+    """Initialize a fine-scale field, in the coarse field's dtype, by
+    giving each fine pixel a copy of its parent pixel (x // 2, y // 2)'s
+    message vectors."""
     if coarse.height != (fine_height + 1) // 2 or coarse.width != (fine_width + 1) // 2:
         raise ValueError(
             f"coarse {coarse.width}x{coarse.height} is not the ceil-halving "
             f"of fine {fine_width}x{fine_height}"
         )
-    fine = MessageField(fine_height, fine_width, coarse.levels)
+    fine = MessageField(fine_height, fine_width, coarse.levels, coarse.msgs.dtype)
     src = coarse.msgs.transpose(0, 3, 1, 2)  # label-major (4, L, h, w)
     dst = fine.msgs.transpose(0, 3, 1, 2)
     # the fine pixels at each (y % 2, x % 2) offset form a copy of the
@@ -69,6 +70,7 @@ def lift_messages(coarse, fine_height, fine_width):
 
 def run_hierarchical(volume, config):
     """Run BP coarsest-to-finest and extract the level-0 disparity map.
+    Messages take the dtype of the volume's costs.
 
     Returns (DisparityMap, trace) where trace rows are
     (scale, sweep, active_pixels, max_delta, energy); scale 0 is finest.
@@ -80,7 +82,7 @@ def run_hierarchical(volume, config):
     for scale, sweeps in zip(range(len(budgets) - 1, -1, -1), budgets):
         vol = pyramid[scale]
         if fld is None:
-            fld = MessageField(vol.height, vol.width, vol.levels)
+            fld = MessageField(vol.height, vol.width, vol.levels, vol.costs.dtype)
         else:
             fld = lift_messages(fld, vol.height, vol.width)
         run_bp(vol, fld, config.bp, sweeps, trace=trace, scale=scale)

@@ -186,17 +186,3 @@ def read_disparity_pgm(path, scale_factor=1):
     img = read_pgm(path)
     labels = np.rint(img.samples.astype(np.float64) / scale_factor).astype(np.int32)
     return DisparityMap(labels, scale_factor=scale_factor)
-
-
-def to_grayscale(r, g, b):
-    """Combine equal-shaped R, G, B channel arrays into a GrayImage.
-
-    luminance = round(0.299 R + 0.587 G + 0.114 B), clamped to [0, 255].
-    """
-    r = np.asarray(r, dtype=np.float64)
-    g = np.asarray(g, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    if not (r.shape == g.shape == b.shape):
-        raise ValueError(f"channel shapes differ: {r.shape}, {g.shape}, {b.shape}")
-    lum = np.rint(0.299 * r + 0.587 * g + 0.114 * b)
-    return GrayImage(np.clip(lum, 0, 255).astype(np.uint8))

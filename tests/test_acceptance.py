@@ -149,6 +149,16 @@ def test_synthetic_stereogram_accuracy(stereogram_run):
     )
 
 
+def test_float64_volume_gives_the_same_labels(stereogram_run):
+    """The built volume is float32; a float64 copy of it, run through the
+    same pyramid in float64, labels every pixel the same."""
+    r = stereogram_run
+    assert r["volume"].costs.dtype == np.float32
+    wide = CostVolume(r["volume"].costs.astype(np.float64))
+    disparity, _ = run_hierarchical(wide, PyramidConfig(sweeps_per_scale=[10, 10, 10, 30]))
+    assert np.array_equal(disparity.labels, r["disparity"].labels)
+
+
 def test_convergence_curve_shape(stereogram_run):
     """FAST active-pixel counts shrink below 10% at the finest scale."""
     finest = [row for row in stereogram_run["trace"] if row[0] == 0]

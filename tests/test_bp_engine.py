@@ -99,6 +99,18 @@ class TestUpdateMessage:
         assert msg == pytest.approx(raw - raw.min(), abs=1e-12)
 
 
+class TestMessageField:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_buffer_in_the_given_dtype(self, dtype):
+        fld = MessageField(3, 5, 2, dtype)
+        assert fld.msgs.shape == (4, 3, 5, 2) and fld.msgs.dtype == dtype
+        assert fld.msgs.transpose(0, 3, 1, 2).flags.c_contiguous
+        assert not fld.msgs.any()
+
+    def test_float64_by_default(self):
+        assert MessageField(2, 2, 2).msgs.dtype == np.float64
+
+
 class TestSweep:
     def test_messages_min_normalized_after_sweep(self):
         rng = np.random.default_rng(22)
@@ -266,6 +278,24 @@ class TestSchedule:
             assert np.array_equal(m1, m2)
             assert np.array_equal(a1, a2) and np.array_equal(d1, d2) and n1 == n2
 
+    @pytest.mark.parametrize("epsilon", [0.0, 1e-3])
+    def test_float32_paths_agree_and_stay_float32(self, epsilon):
+        rng = np.random.default_rng(35)
+        vol = CostVolume(rng.uniform(0, 2, size=(7, 9, 5)).astype(np.float32))
+        start = rng.uniform(0, 2, size=(4, 7, 9, 5)).astype(np.float32)
+        cfg = BpConfig(epsilon=epsilon, smoothness=SmoothnessParams(0.7, 1.5))
+        runs = []
+        for dense in (True, False):
+            fld = MessageField(7, 9, 5, np.float32)
+            fld.msgs[...] = start
+            mask = ConvergenceMask(7, 9)
+            updated = _sweep(vol, fld, mask, cfg, dense=dense)
+            assert fld.msgs.dtype == np.float32
+            runs.append((fld.msgs, mask.active, mask.last_delta, updated))
+        (m1, a1, d1, n1), (m2, a2, d2, n2) = runs
+        assert np.array_equal(m1, m2)
+        assert np.array_equal(a1, a2) and np.array_equal(d1, d2) and n1 == n2
+
 
 class TestExtractDisparity:
     def test_zero_messages_is_winner_take_all(self):
@@ -323,6 +353,14 @@ class TestLabelingEnergy:
                         want += smoothness_cost(labels[y, x], labels[y + 1, x], p)
             got = labeling_energy(vol, DisparityMap(labels), p)
             assert got == pytest.approx(want, abs=1e-9)
+
+    def test_float32_costs_summed_in_float64(self):
+        rng = np.random.default_rng(36)
+        costs = rng.uniform(0, 3, size=(64, 64, 3)).astype(np.float32)
+        labels = DisparityMap(rng.integers(0, 3, size=(64, 64)).astype(np.int32))
+        p = SmoothnessParams(0.6, 1.4)
+        got = labeling_energy(CostVolume(costs), labels, p)
+        assert got == labeling_energy(CostVolume(costs.astype(np.float64)), labels, p)
 
 
 class TestChainExactness:

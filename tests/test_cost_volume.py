@@ -128,6 +128,32 @@ class TestBuildCostVolume:
                 _image(np.zeros((4, 4))), _image(np.zeros((4, 5))), 2, NccParams()
             )
 
+    def test_costs_are_float32_and_label_major(self):
+        rng = np.random.default_rng(8)
+        img = _image(rng.integers(0, 256, size=(9, 11)))
+        vol = build_cost_volume(img, img, 3, NccParams())
+        assert vol.costs.dtype == np.float32
+        assert vol.costs.transpose(2, 0, 1).flags.c_contiguous
+
+
+class TestCostVolumeDtype:
+    def test_float32_kept_without_copy(self):
+        planes = np.ones((2, 3, 4), dtype=np.float32)  # (L, H, W)
+        vol = CostVolume(planes.transpose(1, 2, 0))
+        assert vol.costs.dtype == np.float32
+        assert np.shares_memory(vol.costs, planes)
+
+    @pytest.mark.parametrize("costs", [
+        np.ones((2, 3, 4), dtype=np.int64),
+        np.ones((2, 3, 4), dtype=np.float16),
+        [[[0, 1]], [[2, 3]]],
+    ])
+    def test_anything_else_becomes_float64(self, costs):
+        vol = CostVolume(costs)
+        assert vol.costs.dtype == np.float64
+        assert np.array_equal(vol.costs, np.asarray(costs))
+        assert vol.costs.transpose(2, 0, 1).flags.c_contiguous
+
 
 class TestDownsampleVolume:
     def test_block_sum(self):
@@ -156,6 +182,27 @@ class TestDownsampleVolume:
                         for x in range(2 * cx, min(2 * cx + 2, 5))
                     )
                     assert coarse.costs[cy, cx, d] == pytest.approx(want)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("shape", [(7, 5, 1), (7, 5, 3), (1, 1, 3), (4, 9, 1), (6, 6, 3)])
+    def test_block_order_is_explicit(self, shape, dtype):
+        # ((a00 + a01) + a10) + a11 per element, whatever L or the layout;
+        # pixels past an odd edge count as 0
+        rng = np.random.default_rng(12)
+        vol = CostVolume(rng.uniform(0, 1, size=shape).astype(dtype))
+        coarse = downsample_volume(vol)
+        h, w, levels = shape
+        assert coarse.costs.dtype == dtype
+        assert coarse.costs.shape == ((h + 1) // 2, (w + 1) // 2, levels)
+
+        def at(y, x, d):
+            return vol.costs[y, x, d] if y < h and x < w else dtype(0)
+
+        for cy, cx, d in np.ndindex(coarse.costs.shape):
+            y, x = 2 * cy, 2 * cx
+            want = ((at(y, x, d) + at(y, x + 1, d)) + at(y + 1, x, d)) + at(y + 1, x + 1, d)
+            assert coarse.costs[cy, cx, d] == want
+            assert coarse.costs[cy, cx, d].dtype == dtype
 
     def test_cost_mass_preserved_per_disparity(self):
         rng = np.random.default_rng(10)

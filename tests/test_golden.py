@@ -15,13 +15,13 @@ GOLDEN = {
         dict(width=64, height=48, shift=4, seed=3),
         ["--max-disp", "12"],
         "f6ce6ad93be09de018603ef537d2194c00b37f4f33bb810447d2c542b70fa000",
-        "0ad36d0fb7a5516e08b9864c2f20326b1e52a6e5e38037f43fe5d2e0caec9717",
+        "16f8d16d9d2f5d0562deb61bcae1cec49790c660ea76b75dfbf4315c789921fa",
     ),
     "full-40x40-l16": (
         dict(width=40, height=40, shift=6, seed=5),
         ["--max-disp", "16", "--schedule", "full"],
         "8c9065d33a946789348c24f616bfa49bec360b30392814fa9a09a6494d9559e8",
-        "44f33e1476f175c6b15e3527dd00addd797ec4089fe65368cefb8f35a2310c3a",
+        "a5a11216c845ad3096c41fe5b48b11ee1bb9b5bf48c8889a08ad0659743d1c86",
     ),
 }
 

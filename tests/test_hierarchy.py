@@ -43,6 +43,13 @@ class TestBuildPyramid:
         for level in build_pyramid(vol, 3):
             assert np.allclose(level.costs.sum(axis=(0, 1)), mass)
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_levels_keep_the_dtype(self, dtype):
+        vol = CostVolume(_random_volume(9, 6, 3, 4).costs.astype(dtype))
+        for level in build_pyramid(vol, 4):
+            assert level.costs.dtype == dtype
+            assert level.costs.transpose(2, 0, 1).flags.c_contiguous
+
     def test_too_many_scales(self):
         with pytest.raises(ValueError):
             build_pyramid(_random_volume(2, 2, 2, 4), 4)
@@ -82,6 +89,16 @@ class TestLiftMessages:
         coarse.msgs -= coarse.msgs.min(axis=-1, keepdims=True)
         fine = lift_messages(coarse, 4, 4)
         assert np.allclose(fine.msgs.min(axis=-1), 0.0)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_keeps_the_coarse_dtype(self, dtype):
+        rng = np.random.default_rng(7)
+        coarse = MessageField(2, 3, 4, dtype)
+        coarse.msgs[...] = rng.uniform(0, 2, size=coarse.msgs.shape)
+        fine = lift_messages(coarse, 3, 6)
+        assert fine.msgs.dtype == dtype
+        assert fine.msgs.transpose(0, 3, 1, 2).flags.c_contiguous
+        assert np.array_equal(fine.msgs, coarse.msgs[:, [0, 0, 1]][:, :, [0, 0, 1, 1, 2, 2]])
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
@@ -126,6 +143,19 @@ class TestRunHierarchical:
             if e_h <= e_f * 1.05:
                 wins += 1
         assert wins >= 8
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_fields_take_the_volume_dtype(self, monkeypatch, dtype):
+        seen = []
+
+        def record(volume, fld, *args, **kwargs):
+            seen.append((volume.costs.dtype, fld.msgs.dtype))
+            return run_bp(volume, fld, *args, **kwargs)
+
+        monkeypatch.setattr("stereo_bp.hierarchy.run_bp", record)
+        vol = CostVolume(_random_volume(9, 7, 3, 9).costs.astype(dtype))
+        run_hierarchical(vol, PyramidConfig(sweeps_per_scale=[2, 2, 2]))
+        assert seen == [(dtype, dtype)] * 3
 
     def test_trace_has_scale_column(self):
         vol = _random_volume(8, 8, 2, 8)

@@ -7,7 +7,6 @@ from stereo_bp import (
     PgmError,
     read_disparity_pgm,
     read_pgm,
-    to_grayscale,
     write_pgm,
 )
 
@@ -94,14 +93,3 @@ def test_invalid_encodes_as_zero(tmp_path):
     path = tmp_path / "inv.pgm"
     write_pgm(dm, path)
     assert read_pgm(path).samples.tolist() == [[0, 16]]
-
-
-def test_to_grayscale_known_values():
-    img = to_grayscale([[255, 0, 100]], [[255, 0, 200]], [[255, 0, 50]])
-    # round(0.299*100 + 0.587*200 + 0.114*50) = round(153.0) = 153
-    assert img.samples.tolist() == [[255, 0, 153]]
-
-
-def test_to_grayscale_shape_mismatch():
-    with pytest.raises(ValueError):
-        to_grayscale(np.zeros((2, 2)), np.zeros((2, 2)), np.zeros((2, 3)))

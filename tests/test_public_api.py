@@ -14,7 +14,7 @@ DOCUMENTED = sorted([
     "EvalReport", "bad_pixel_rate", "make_stereogram",
     "PyramidConfig", "run_hierarchical",
     "INVALID", "DisparityMap", "GrayImage", "PgmError", "read_disparity_pgm",
-    "read_pgm", "to_grayscale", "write_pgm",
+    "read_pgm", "write_pgm",
 ])
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
