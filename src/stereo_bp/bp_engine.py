@@ -7,16 +7,19 @@ at p from everyone but q. Updates are synchronous (Jacobi): a sweep
 computes every new message from the field as it stood before the sweep,
 then writes them all into the one message buffer, so results are
 independent of evaluation order. Only active pixels are recomputed: a
-pixel whose outgoing messages moved by less than epsilon is deactivated,
-and reactivated if an incoming message changes by epsilon or more. At
-epsilon 0 every pixel stays active, which is the standard synchronous
-schedule.
+pixel stays active while a message out of it or into it moves, and by at
+least epsilon. At epsilon 0 a pixel is skipped only when none of its
+messages changed in the last sweep, so it would have rebuilt them bit for
+bit: messages, deltas and labels are those of the standard schedule that
+recomputes every pixel every sweep, and a run stops early only at an
+exact fixed point.
 
 Costs and messages keep their (H, W, L) and (4, H, W, L) shapes but are
 stored label-major, so every step works on whole (H, W) planes, one per
 label: the min-convolution runs along the label axis plane by plane, and a
 sweep in which every pixel is active reads and writes shifted slices of
-the planes instead of gathering pixels.
+the planes. Any other sweep gathers its active pixels into (L, n) columns
+and sends all four directions through one kernel call.
 """
 
 from __future__ import annotations
@@ -63,8 +66,9 @@ class SmoothnessParams:
 
 @dataclass
 class BpConfig:
-    # a pixel stays active while its messages move by at least this;
-    # 0 keeps every pixel active (the standard schedule)
+    # a pixel stays active while its messages move, and by at least this;
+    # at 0 only an exact change counts, which skips work but gives the bits
+    # of the standard schedule that recomputes every pixel every sweep
     epsilon: float = 1e-3
     smoothness: SmoothnessParams = field(default_factory=SmoothnessParams)
 
@@ -103,7 +107,11 @@ class MessageField:
 
 
 class ConvergenceMask:
-    """Per-pixel active flags plus the last outgoing-change magnitude."""
+    """Per-pixel active flags plus the last outgoing-change magnitude.
+
+    A pixel's `last_delta` is kept from the last sweep that recomputed it;
+    at epsilon 0 a pixel is skipped only after its outgoing change was 0,
+    so it reads 0 as it would under the all-active schedule."""
 
     def __init__(self, height, width):
         self.active = np.ones((height, width), dtype=bool)
@@ -186,8 +194,7 @@ def _sweep(volume, fld, mask, config, dense):
     out_delta = np.zeros((h, w))
     incoming_delta = np.zeros((h, w))
 
-    def send(slot, src, dst, hq):
-        msg = _minconv_truncated_linear(hq, params.slope, params.truncation)
+    def write(slot, src, dst, msg):
         ry, rx = dst
         if dense:
             change = msg - msgs[slot][:, ry, rx]
@@ -200,26 +207,47 @@ def _sweep(volume, fld, mask, config, dense):
         out_delta[src] = np.maximum(out_delta[src], delta)
         incoming_delta[dst] = np.maximum(incoming_delta[dst], delta)
 
-    # opposite slots read each other (a message leaves out what came from
-    # its receiver), so both of a pair are prepared before either is sent;
-    # one pair at a time, each batch dropped once sent, so that at most two
-    # are held at once
-    for pair in ((FROM_LEFT, FROM_RIGHT), (FROM_UP, FROM_DOWN)):
-        batches = [(slot, *prepare(slot)) for slot in pair]
-        while batches:
-            send(*batches.pop())
+    if dense:
+        # opposite slots read each other (a message leaves out what came
+        # from its receiver), so both of a pair are prepared before either
+        # is sent; one pair at a time, each batch dropped once sent, so that
+        # at most two whole-plane batches are held at once
+        for pair in ((FROM_LEFT, FROM_RIGHT), (FROM_UP, FROM_DOWN)):
+            batches = [(slot, *prepare(slot)) for slot in pair]
+            while batches:
+                slot, src, dst, hq = batches.pop()
+                write(slot, src, dst, _minconv_truncated_linear(
+                    hq, params.slope, params.truncation))
+    else:
+        # all four slots are prepared before any is written, and their
+        # columns, concatenated, go through one kernel call: the kernel
+        # works column by column, so the batching changes no bit
+        batches = [(slot, *prepare(slot)) for slot in _SENDS]
+        msg = _minconv_truncated_linear(
+            np.concatenate([hq for *_, hq in batches], axis=1),
+            params.slope, params.truncation)
+        ends = np.cumsum([hq.shape[1] for *_, hq in batches])
+        for (slot, src, dst, _), part in zip(batches, np.split(msg, ends[:-1], axis=1)):
+            write(slot, src, dst, part)
 
     np.copyto(mask.last_delta, out_delta, where=active)
-    # a pixel that sent nothing has out_delta 0: inactive at any epsilon > 0
-    # unless reactivated, and at epsilon 0 every pixel stays active anyway
-    mask.active = (out_delta >= config.epsilon) | (incoming_delta >= config.epsilon)
+
+    def moved(delta):
+        return (delta > 0) & (delta >= config.epsilon)
+
+    # a pixel stays active while a message out of it or into it moves, and
+    # by at least epsilon. One that sent nothing has out_delta 0. At
+    # epsilon 0 a pixel none of whose messages moved would rebuild them bit
+    # for bit from unchanged inputs, so skipping it changes no message
+    mask.active = moved(out_delta) | moved(incoming_delta)
     return int(np.count_nonzero(active))
 
 
 def run_bp(volume, fld, config, sweeps, trace=None, scale=None):
-    """Run up to `sweeps` sweeps, stopping once no pixel is active (never
-    at epsilon 0). Appends (scale, sweep, active, max_delta, energy) rows
-    to `trace` when given. Returns the total number of pixel updates."""
+    """Run up to `sweeps` sweeps, stopping once no pixel is active (at
+    epsilon 0, once no message moved at all: an exact fixed point).
+    Appends (scale, sweep, active, max_delta, energy) rows to `trace` when
+    given. Returns the total number of pixel updates."""
     if sweeps < 1:
         raise ValueError(f"sweeps must be >= 1, got {sweeps}")
     mask = ConvergenceMask(volume.height, volume.width)

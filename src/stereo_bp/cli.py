@@ -8,7 +8,8 @@ Subcommands:
 
 `match` takes the pyramid depth from the length of `--sweeps`; `--scales N`
 alone stands for `[10] * (N - 1) + [20]`, and `--schedule full` means
-`--epsilon 0` (every pixel updates every sweep).
+`--epsilon 0`: only the pixels whose messages changed in the last sweep
+are recomputed, with the bits of recomputing every pixel every sweep.
 
 `match --config FILE` reads `key = value` lines whose keys are match's long
 flag names (dashes or underscores) and whose values are parsed as the flag
@@ -127,7 +128,7 @@ def cmd_match(args):
             raise ValueError(f"--scales {args.scales} but --sweeps has {len(sweeps)} budgets")
     ncc = NccParams(window_radius=args.window)
     bp = BpConfig(epsilon=args.epsilon, smoothness=SmoothnessParams())
-    if args.schedule == "full":  # every pixel updates every sweep
+    if args.schedule == "full":  # exact: the bits of all-active sweeps
         bp.epsilon = 0.0
     pyramid = PyramidConfig(sweeps_per_scale=sweeps, bp=bp)
     border = args.border if args.border is not None else args.max_disp

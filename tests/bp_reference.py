@@ -107,12 +107,16 @@ def scheduled_bp(volume, sweeps, params, epsilon):
     """Up to `sweeps` sweeps from zero messages with the epsilon schedule.
     Each sweep recomputes, with `update_message` and from a copy of the
     field as it stood before the sweep, every message sent by an active
-    pixel. A sender stays active iff the largest change among the messages
-    it wrote is >= epsilon; a pixel becomes active iff any incoming
-    message written to it changed by >= epsilon. Every pixel starts
-    active, and the run stops once none is.
+    pixel. A change "moves" when it is > 0 and >= epsilon. A sender stays
+    active iff the largest change among the messages it wrote moves; a
+    pixel becomes active iff any incoming message written to it moves.
+    Every pixel starts active, and the run stops once none is; at epsilon
+    0 that is an exact fixed point.
 
     Returns (MessageField, active masks after each sweep, pixel updates)."""
+    def moved(change):
+        return (change > 0) & (change >= epsilon)
+
     h, w = volume.height, volume.width
     fld = MessageField(h, w, volume.levels)
     active = np.ones((h, w), dtype=bool)
@@ -136,7 +140,7 @@ def scheduled_bp(volume, sweeps, params, epsilon):
                     fld.msgs[direction, qy, qx] = msg
                     sent[y, x] = max(sent[y, x], change)
                     received[qy, qx] = max(received[qy, qx], change)
-        active = (active & (sent >= epsilon)) | (received >= epsilon)
+        active = moved(sent) | moved(received)
         masks.append(active)
         if not active.any():
             break

@@ -150,7 +150,7 @@ class TestSweep:
         fld_ref = jacobi_bp(vol, 12, SmoothnessParams())
         fld_fast, total, _ = _run(vol, 12, epsilon=0.0)
         assert np.array_equal(fld_ref.msgs, fld_fast.msgs)
-        assert total == 8 * 8 * 12
+        assert total == scheduled_bp(vol, 12, SmoothnessParams(), 0.0)[2]
         a = extract_disparity(vol, fld_ref)
         b = extract_disparity(vol, fld_fast)
         assert np.array_equal(a.labels, b.labels)
@@ -161,7 +161,7 @@ class TestSweep:
         _, full_total, _ = _run(vol, 30, epsilon=0.0)
         _, fast_total, _ = _run(vol, 30, epsilon=1e-3)
         assert fast_total <= full_total
-        assert full_total == 8 * 8 * 30
+        assert full_total == scheduled_bp(vol, 30, SmoothnessParams(), 0.0)[2]
 
     def test_full_sweep_is_synchronous(self):
         # every message is computed from the field as it was before the sweep
@@ -215,7 +215,21 @@ class TestSweep:
         fld_ref = jacobi_bp(vol, 20, SmoothnessParams())
         fld_fast, total, _ = _run(vol, 20, epsilon=0.0)
         assert np.array_equal(fld_ref.msgs, fld_fast.msgs)
-        assert total == 17 * 20
+        assert total == scheduled_bp(vol, 20, SmoothnessParams(), 0.0)[2]
+
+    def test_epsilon_zero_stops_at_the_exact_fixed_point(self):
+        # a chain is a tree, so synchronous BP reaches a fixed point, after
+        # which no message moves and the run stops short of its budget.
+        # Costs in quarters keep every sum exact: with rounding, a message
+        # that adds and then removes its receiver's message can jitter in
+        # the last bit forever
+        vol = CostVolume(np.random.default_rng(37).integers(0, 8, size=(1, 17, 5)) / 4)
+        fld = MessageField(1, 17, 5)
+        trace = []
+        run_bp(vol, fld, BpConfig(epsilon=0.0), 60, trace=trace)
+        assert len(trace) < 60
+        assert trace[-1][2:4] == (0, 0.0)  # no pixel active, nothing moved
+        assert np.array_equal(fld.msgs, jacobi_bp(vol, 60, SmoothnessParams()).msgs)
 
     def test_dimension_mismatch(self):
         vol = CostVolume(np.zeros((3, 3, 2)))
@@ -230,7 +244,7 @@ SCHEDULE_CASES = [(8, 8, 4, seed) for seed in range(4)] + [
 
 
 class TestSchedule:
-    @pytest.mark.parametrize("epsilon", [1e-3, 0.05])
+    @pytest.mark.parametrize("epsilon", [0.0, 1e-3, 0.05])
     @pytest.mark.parametrize("case", SCHEDULE_CASES)
     def test_matches_scalar_scheduled_reference(self, case, epsilon):
         h, w, levels, seed = case
@@ -247,6 +261,16 @@ class TestSchedule:
             sweep(vol, fld, mask, cfg)
             assert np.array_equal(mask.active, want)
         assert np.array_equal(fld.msgs, want_fld.msgs)
+
+    @pytest.mark.parametrize("case", SCHEDULE_CASES)
+    def test_reference_at_epsilon_zero_is_jacobi(self, case):
+        # skipping the pixels none of whose messages moved changes no bit
+        h, w, levels, seed = case
+        vol = CostVolume(np.random.default_rng(seed).uniform(0, 1, size=(h, w, levels)))
+        p = SmoothnessParams()
+        for sweeps in range(1, 13):
+            fld, _, _ = scheduled_bp(vol, sweeps, p, 0.0)
+            assert np.array_equal(fld.msgs, jacobi_bp(vol, sweeps, p).msgs)
 
     def test_reference_exercises_partial_masks(self):
         # the 8x8 cases above must reach the gathered path, and reactivate

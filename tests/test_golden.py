@@ -21,7 +21,7 @@ GOLDEN = {
         dict(width=40, height=40, shift=6, seed=5),
         ["--max-disp", "16", "--schedule", "full"],
         "8c9065d33a946789348c24f616bfa49bec360b30392814fa9a09a6494d9559e8",
-        "a5a11216c845ad3096c41fe5b48b11ee1bb9b5bf48c8889a08ad0659743d1c86",
+        "8d99e3922ebf5836f2d7b469571dfb337b8a21e6a1511b876730201473f6013e",
     ),
 }
 

@@ -12,7 +12,13 @@ from stereo_bp import (
     make_stereogram,
     run_hierarchical,
 )
-from stereo_bp.bp_engine import MessageField, extract_disparity, run_bp
+from stereo_bp.bp_engine import (
+    ConvergenceMask,
+    MessageField,
+    _sweep,
+    extract_disparity,
+    run_bp,
+)
 from stereo_bp.hierarchy import build_pyramid, lift_messages
 
 
@@ -156,6 +162,37 @@ class TestRunHierarchical:
         vol = CostVolume(_random_volume(9, 7, 3, 9).costs.astype(dtype))
         run_hierarchical(vol, PyramidConfig(sweeps_per_scale=[2, 2, 2]))
         assert seen == [(dtype, dtype)] * 3
+
+    def test_epsilon_zero_is_all_active_sweeps_with_less_work(self, monkeypatch):
+        # the 64x48, L=12 stereogram of the golden FAST run, matched at
+        # epsilon 0 and by a reference that recomputes every pixel in every
+        # sweep it runs
+        left, right, _ = make_stereogram(64, 48, 4, 3)
+        vol = build_cost_volume(left, right, 12, NccParams())
+        cfg = PyramidConfig(bp=BpConfig(epsilon=0.0))
+        runs = []
+
+        def record(volume, fld, *args, **kwargs):
+            total = run_bp(volume, fld, *args, **kwargs)
+            runs[-1].append((fld, total))
+            return total
+
+        def all_active(volume, fld, mask, config):
+            mask.active = ConvergenceMask(volume.height, volume.width).active
+            return _sweep(volume, fld, mask, config, dense=True)
+
+        monkeypatch.setattr("stereo_bp.hierarchy.run_bp", record)
+        runs.append([])
+        got, _ = run_hierarchical(vol, cfg)
+        monkeypatch.setattr("stereo_bp.bp_engine.sweep", all_active)
+        runs.append([])
+        want, _ = run_hierarchical(vol, cfg)
+
+        (got_fld, _), (want_fld, _) = runs[0][-1], runs[1][-1]
+        assert np.array_equal(got.labels, want.labels)
+        assert np.array_equal(got_fld.msgs, want_fld.msgs)
+        got_updates, want_updates = (sum(t for _, t in run) for run in runs)
+        assert got_updates < want_updates
 
     def test_trace_has_scale_column(self):
         vol = _random_volume(8, 8, 2, 8)
