@@ -20,6 +20,11 @@ label: the min-convolution runs along the label axis plane by plane, and a
 sweep in which every pixel is active reads and writes shifted slices of
 the planes. Any other sweep gathers its active pixels into (L, n) columns
 and sends all four directions through one kernel call.
+
+The per-sweep energy trace costs what a sweep changed: a sweep leaves on
+the mask the pixels whose incoming messages moved, whatever epsilon is,
+and `run_bp` re-derives the label of only those pixels, from their
+gathered belief columns, before scoring the labeling.
 """
 
 from __future__ import annotations
@@ -107,15 +112,20 @@ class MessageField:
 
 
 class ConvergenceMask:
-    """Per-pixel active flags plus the last outgoing-change magnitude.
+    """Per-pixel active flags, the last outgoing-change magnitude, and
+    which pixels' beliefs the last sweep moved.
 
     A pixel's `last_delta` is kept from the last sweep that recomputed it;
     at epsilon 0 a pixel is skipped only after its outgoing change was 0,
-    so it reads 0 as it would under the all-active schedule."""
+    so it reads 0 as it would under the all-active schedule. `changed`
+    marks the pixels some incoming message of which moved at all in the
+    last sweep (none before the first): at epsilon > 0 it may hold pixels
+    that are not active again, since their change fell below epsilon."""
 
     def __init__(self, height, width):
         self.active = np.ones((height, width), dtype=bool)
         self.last_delta = np.full((height, width), np.inf)
+        self.changed = np.zeros((height, width), dtype=bool)
 
 
 def _minconv_truncated_linear(h, slope, truncation):
@@ -240,6 +250,8 @@ def _sweep(volume, fld, mask, config, dense):
     # epsilon 0 a pixel none of whose messages moved would rebuild them bit
     # for bit from unchanged inputs, so skipping it changes no message
     mask.active = moved(out_delta) | moved(incoming_delta)
+    # a belief is data plus incoming messages, so only these moved
+    np.greater(incoming_delta, 0, out=mask.changed)
     return int(np.count_nonzero(active))
 
 
@@ -247,22 +259,41 @@ def run_bp(volume, fld, config, sweeps, trace=None, scale=None):
     """Run up to `sweeps` sweeps, stopping once no pixel is active (at
     epsilon 0, once no message moved at all: an exact fixed point).
     Appends (scale, sweep, active, max_delta, energy) rows to `trace` when
-    given. Returns the total number of pixel updates."""
+    given. The energy is that of the MAP labeling after the sweep, which
+    is kept across sweeps: taken whole after the first, then re-derived
+    only where a belief moved, with the bits of `extract_disparity`.
+    Returns the total number of pixel updates."""
     if sweeps < 1:
         raise ValueError(f"sweeps must be >= 1, got {sweeps}")
     mask = ConvergenceMask(volume.height, volume.width)
     total = 0
+    labels = None
     for it in range(1, sweeps + 1):
         updated = sweep(volume, fld, mask, config)
         total += updated
         if trace is not None:
-            energy = labeling_energy(volume, extract_disparity(volume, fld),
-                                     config.smoothness)
-            max_delta = float(mask.last_delta[np.isfinite(mask.last_delta)].max(initial=0.0))
+            if labels is None:
+                labels = extract_disparity(volume, fld)
+            else:
+                _relabel(volume, fld, labels.labels, mask.changed)
+            energy = labeling_energy(volume, labels, config.smoothness)
+            # the mask starts all active, so every last_delta is finite
+            max_delta = float(mask.last_delta.max())
             trace.append((scale, it, int(mask.active.sum()), max_delta, energy))
         if not mask.active.any():
             break
     return total
+
+
+def _relabel(volume, fld, labels, changed):
+    """Re-derive in place the `labels` of the `changed` pixels: the
+    smallest minimizer of each one's gathered belief column, which
+    `_belief` sums in the same order as `extract_disparity`."""
+    flat, levels = np.flatnonzero(changed), fld.levels
+    costs = volume.costs.transpose(2, 0, 1).reshape(levels, -1)  # (L, H*W)
+    msgs = fld.msgs.transpose(0, 3, 1, 2).reshape(4, levels, -1)
+    belief = _belief(np.take(costs, flat, axis=1), np.take(msgs, flat, axis=2))
+    np.put(labels, flat, np.argmin(belief, axis=0))
 
 
 def extract_disparity(volume, fld):
@@ -286,10 +317,14 @@ def labeling_energy(volume, disparity, params):
         raise ValueError("labeling and cost volume dimensions disagree")
     if (labels == INVALID).any():
         raise ValueError("labeling contains INVALID pixels")
-    h, w = labels.shape
-    yy, xx = np.mgrid[0:h, 0:w]
-    # accumulated in float64: a float32 sum over a whole frame loses digits
-    data = volume.costs[yy, xx, labels].sum(dtype=np.float64)
+    h, w, levels = volume.costs.shape
+    if labels.min() < 0 or labels.max() >= levels:
+        raise ValueError(f"labeling has labels outside [0, {levels})")
+    # each pixel's cost read from its label's plane of the label-major
+    # storage; accumulated in float64, as a float32 sum over a whole frame
+    # loses digits
+    at = labels.astype(np.intp).reshape(-1) * (h * w) + np.arange(h * w)
+    data = np.take(volume.costs.transpose(2, 0, 1), at).reshape(h, w).sum(dtype=np.float64)
     s, t = params.slope, params.truncation
     dh = np.minimum(s * np.abs(labels[:, 1:] - labels[:, :-1]), t).sum()
     dv = np.minimum(s * np.abs(labels[1:, :] - labels[:-1, :]), t).sum()

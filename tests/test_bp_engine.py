@@ -321,6 +321,68 @@ class TestSchedule:
         assert np.array_equal(a1, a2) and np.array_equal(d1, d2) and n1 == n2
 
 
+def _reference_trace(volume, config, sweeps):
+    """run_bp's trace rows, each from the whole frame: sweep, then score
+    the labeling `extract_disparity` takes from the entire field."""
+    fld = MessageField(volume.height, volume.width, volume.levels)
+    mask = ConvergenceMask(volume.height, volume.width)
+    rows = []
+    for it in range(1, sweeps + 1):
+        sweep(volume, fld, mask, config)
+        energy = labeling_energy(volume, extract_disparity(volume, fld), config.smoothness)
+        max_delta = float(mask.last_delta[np.isfinite(mask.last_delta)].max(initial=0.0))
+        rows.append((None, it, int(mask.active.sum()), max_delta, energy))
+        if not mask.active.any():
+            break
+    return rows, fld
+
+
+class TestEnergyTrace:
+    @pytest.mark.parametrize("epsilon", [0.0, 1e-3, 0.05])
+    @pytest.mark.parametrize("case", SCHEDULE_CASES)
+    def test_rows_match_whole_frame_reference(self, case, epsilon):
+        h, w, levels, seed = case
+        vol = CostVolume(np.random.default_rng(seed).uniform(0, 1, size=(h, w, levels)))
+        cfg = BpConfig(epsilon=epsilon)
+        want, want_fld = _reference_trace(vol, cfg, 12)
+        fld = MessageField(h, w, levels)
+        trace = []
+        run_bp(vol, fld, cfg, 12, trace=trace)
+        assert trace == want
+        assert np.array_equal(fld.msgs, want_fld.msgs)
+
+    def test_relabels_a_flip_below_epsilon(self):
+        # in this chain the fourth sweep moves the messages into pixel
+        # (0, 0) by less than epsilon, so it is not active again, yet its
+        # label flips: relabeling only the active pixels would miss it
+        vol = CostVolume(np.random.default_rng(100).uniform(0, 1, size=(1, 9, 3)))
+        cfg = BpConfig(epsilon=0.05)
+        fld = MessageField(1, 9, 3)
+        mask = ConvergenceMask(1, 9)
+        for _ in range(3):
+            sweep(vol, fld, mask, cfg)
+        before, labels = fld.msgs.copy(), extract_disparity(vol, fld).labels
+        sweep(vol, fld, mask, cfg)
+        assert 0 < np.abs(fld.msgs[:, 0, 0] - before[:, 0, 0]).max() < cfg.epsilon
+        assert mask.changed[0, 0] and not mask.active[0, 0]
+        assert extract_disparity(vol, fld).labels[0, 0] != labels[0, 0]
+
+        trace = []
+        run_bp(vol, MessageField(1, 9, 3), cfg, 12, trace=trace)
+        assert trace == _reference_trace(vol, cfg, 12)[0]
+
+    def test_changed_marks_every_moved_belief(self):
+        rng = np.random.default_rng(38)
+        vol = CostVolume(rng.uniform(0, 1, size=(7, 9, 5)))
+        fld = MessageField(7, 9, 5)
+        mask = ConvergenceMask(7, 9)
+        assert not mask.changed.any()
+        for _ in range(6):
+            before = fld.msgs.copy()
+            sweep(vol, fld, mask, BpConfig(epsilon=0.05))
+            assert np.array_equal(mask.changed, (fld.msgs != before).any(axis=(0, 3)))
+
+
 class TestExtractDisparity:
     def test_zero_messages_is_winner_take_all(self):
         rng = np.random.default_rng(26)
@@ -359,6 +421,27 @@ class TestLabelingEnergy:
         dm = DisparityMap(np.array([[0, -1]], dtype=np.int32))
         with pytest.raises(ValueError):
             labeling_energy(vol, dm, SmoothnessParams())
+
+    @pytest.mark.parametrize("label", [-2, 4, -5])
+    def test_label_outside_range_rejected(self, label):
+        vol = CostVolume(np.zeros((1, 2, 4)))
+        dm = DisparityMap(np.array([[0, label]], dtype=np.int32))
+        with pytest.raises(ValueError, match=r"outside \[0, 4\)"):
+            labeling_energy(vol, dm, SmoothnessParams())
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("levels", [1, 5])
+    @pytest.mark.parametrize("shape", [(1, 1), (1, 17), (17, 1), (7, 9)])
+    def test_equals_the_fancy_index_sum(self, shape, levels, dtype):
+        rng = np.random.default_rng(39)
+        vol = CostVolume(rng.uniform(0, 3, size=(*shape, levels)).astype(dtype))
+        labels = rng.integers(0, levels, size=shape).astype(np.int32)
+        p = SmoothnessParams(0.6, 1.4)
+        yy, xx = np.mgrid[0 : shape[0], 0 : shape[1]]
+        data = vol.costs[yy, xx, labels].sum(dtype=np.float64)
+        dh = np.minimum(p.slope * np.abs(labels[:, 1:] - labels[:, :-1]), p.truncation).sum()
+        dv = np.minimum(p.slope * np.abs(labels[1:, :] - labels[:-1, :]), p.truncation).sum()
+        assert labeling_energy(vol, DisparityMap(labels), p) == float(data + dh + dv)
 
     def test_matches_brute_force_resummation(self):
         rng = np.random.default_rng(27)
