@@ -21,10 +21,10 @@ sweep in which every pixel is active reads and writes shifted slices of
 the planes. Any other sweep gathers its active pixels into (L, n) columns
 and sends all four directions through one kernel call.
 
-The per-sweep energy trace costs what a sweep changed: a sweep leaves on
-the mask the pixels whose incoming messages moved, whatever epsilon is,
-and `run_bp` re-derives the label of only those pixels, from their
-gathered belief columns, before scoring the labeling.
+The per-sweep trace costs what a sweep changed: a sweep leaves on the
+mask its largest message change and the pixels whose incoming messages
+moved, whatever epsilon is; `run_bp` re-derives the label of only those
+pixels, from their gathered belief columns, before scoring the labeling.
 """
 
 from __future__ import annotations
@@ -112,20 +112,16 @@ class MessageField:
 
 
 class ConvergenceMask:
-    """Per-pixel active flags, the last outgoing-change magnitude, and
-    which pixels' beliefs the last sweep moved.
-
-    A pixel's `last_delta` is kept from the last sweep that recomputed it;
-    at epsilon 0 a pixel is skipped only after its outgoing change was 0,
-    so it reads 0 as it would under the all-active schedule. `changed`
-    marks the pixels some incoming message of which moved at all in the
-    last sweep (none before the first): at epsilon > 0 it may hold pixels
-    that are not active again, since their change fell below epsilon."""
+    """Per-pixel active flags, the pixels some incoming message of which
+    the last sweep moved at all (`changed`; none before the first), and
+    the largest change it made to any message (`max_delta`; 0 if none).
+    At epsilon > 0 `changed` may hold pixels that are not active again,
+    since their change fell below epsilon."""
 
     def __init__(self, height, width):
         self.active = np.ones((height, width), dtype=bool)
-        self.last_delta = np.full((height, width), np.inf)
         self.changed = np.zeros((height, width), dtype=bool)
+        self.max_delta = 0.0
 
 
 def _minconv_truncated_linear(h, slope, truncation):
@@ -153,6 +149,15 @@ def _belief(costs, msgs):
     return total
 
 
+def _gather(volume, fld, flat):
+    """The (4, L, n) incoming message and (L, n) belief columns of the
+    pixels at flat indices `flat`, label-major whatever the field's layout."""
+    costs = volume.costs.transpose(2, 0, 1).reshape(fld.levels, -1)  # (L, H*W)
+    msgs = fld.msgs.transpose(0, 3, 1, 2).reshape(4, fld.levels, -1)
+    incoming = np.take(msgs, flat, axis=2)
+    return incoming, _belief(np.take(costs, flat, axis=1), incoming)
+
+
 def sweep(volume, fld, mask, config):
     """One synchronous sweep over the active pixels: each of their
     outgoing messages is computed from the field as it stood before the
@@ -171,21 +176,16 @@ def _sweep(volume, fld, mask, config, dense):
     if (fld.height, fld.width, fld.levels) != (volume.height, volume.width, volume.levels):
         raise ValueError("message field and cost volume dimensions disagree")
     params = config.smoothness
-    costs = volume.costs.transpose(2, 0, 1)  # (L, H, W)
     msgs = fld.msgs.transpose(0, 3, 1, 2)  # (4, L, H, W)
     h, w = fld.height, fld.width
     active = mask.active
 
     if dense:
-        base = _belief(costs, msgs)
+        base = _belief(volume.costs.transpose(2, 0, 1), msgs)
     else:
-        # np.take and np.put over flat pixel indices keep the gathered
-        # (L, n) columns label-major, whatever the layout of the field
         ys, xs = np.nonzero(active)
-        flat, levels = ys * w + xs, fld.levels
-        incoming = np.take(msgs.reshape(4, levels, -1), flat, axis=2)
-        base = _belief(np.take(costs.reshape(levels, -1), flat, axis=1), incoming)
-        planes = h * w * np.arange(levels)[:, None]  # offset of each label plane
+        incoming, base = _gather(volume, fld, ys * w + xs)
+        planes = h * w * np.arange(fld.levels)[:, None]  # offset of each label plane
 
     def prepare(slot):
         """The senders and receivers of `slot` as (H, W) indices, and h
@@ -240,7 +240,8 @@ def _sweep(volume, fld, mask, config, dense):
         for (slot, src, dst, _), part in zip(batches, np.split(msg, ends[:-1], axis=1)):
             write(slot, src, dst, part)
 
-    np.copyto(mask.last_delta, out_delta, where=active)
+    # every message moved is some sender's, so this is the sweep's largest
+    mask.max_delta = float(out_delta.max())
 
     def moved(delta):
         return (delta > 0) & (delta >= config.epsilon)
@@ -259,10 +260,10 @@ def run_bp(volume, fld, config, sweeps, trace=None, scale=None):
     """Run up to `sweeps` sweeps, stopping once no pixel is active (at
     epsilon 0, once no message moved at all: an exact fixed point).
     Appends (scale, sweep, active, max_delta, energy) rows to `trace` when
-    given. The energy is that of the MAP labeling after the sweep, which
-    is kept across sweeps: taken whole after the first, then re-derived
-    only where a belief moved, with the bits of `extract_disparity`.
-    Returns the total number of pixel updates."""
+    given: the sweep's largest message change, 0 once none moved, and the
+    energy of the MAP labeling after it, kept across sweeps (taken whole
+    after the first, then re-derived only where a belief moved, with the
+    bits of `extract_disparity`). Returns the total number of updates."""
     if sweeps < 1:
         raise ValueError(f"sweeps must be >= 1, got {sweeps}")
     mask = ConvergenceMask(volume.height, volume.width)
@@ -277,36 +278,33 @@ def run_bp(volume, fld, config, sweeps, trace=None, scale=None):
             else:
                 _relabel(volume, fld, labels.labels, mask.changed)
             energy = labeling_energy(volume, labels, config.smoothness)
-            # the mask starts all active, so every last_delta is finite
-            max_delta = float(mask.last_delta.max())
-            trace.append((scale, it, int(mask.active.sum()), max_delta, energy))
+            trace.append((scale, it, int(mask.active.sum()), mask.max_delta, energy))
         if not mask.active.any():
             break
     return total
 
 
+def _argmin(belief):
+    """np.argmin(belief, axis=0) from whole-plane reductions, as np.argmin
+    scans the label-major array pixel by pixel: L less the largest L - d
+    over the labels d at which the belief is least."""
+    levels = belief.shape[0]
+    rank = np.arange(levels, 0, -1, dtype=np.min_scalar_type(levels))
+    rank = rank.reshape((-1,) + (1,) * (belief.ndim - 1))
+    return levels - ((belief == belief.min(axis=0)) * rank).max(axis=0)
+
+
 def _relabel(volume, fld, labels, changed):
-    """Re-derive in place the `labels` of the `changed` pixels: the
-    smallest minimizer of each one's gathered belief column, which
-    `_belief` sums in the same order as `extract_disparity`."""
-    flat, levels = np.flatnonzero(changed), fld.levels
-    costs = volume.costs.transpose(2, 0, 1).reshape(levels, -1)  # (L, H*W)
-    msgs = fld.msgs.transpose(0, 3, 1, 2).reshape(4, levels, -1)
-    belief = _belief(np.take(costs, flat, axis=1), np.take(msgs, flat, axis=2))
-    np.put(labels, flat, np.argmin(belief, axis=0))
+    """Relabel the `changed` pixels in place, as `extract_disparity` would."""
+    flat = np.flatnonzero(changed)
+    np.put(labels, flat, _argmin(_gather(volume, fld, flat)[1]))
 
 
 def extract_disparity(volume, fld):
     """MAP labeling: per-pixel argmin of data cost plus all incoming
     messages, ties toward smaller disparity."""
     belief = _belief(volume.costs.transpose(2, 0, 1), fld.msgs.transpose(0, 3, 1, 2))
-    # scan the (H, W) planes from the top label down, so that the last
-    # label written at a pixel is its smallest minimizer
-    best = belief.min(axis=0)
-    labels = np.zeros(best.shape, dtype=np.int32)
-    for d in range(belief.shape[0] - 1, -1, -1):
-        labels[belief[d] == best] = d
-    return DisparityMap(labels)
+    return DisparityMap(_argmin(belief))
 
 
 def labeling_energy(volume, disparity, params):

@@ -28,25 +28,32 @@ from .hierarchy import PyramidConfig, check_depth, run_hierarchical
 
 
 def _load_config_file(path, parser):
-    """Parse a key=value file (TOML-flavored: comments, blank lines, and
-    quoted strings tolerated) into defaults for `parser`. Keys mirror its
-    long flag names; a flag that takes no value takes true or false."""
+    """Parse a key=value file ('#' comments, blank lines, quoted values
+    that keep their '#') into defaults for `parser`. Keys mirror its long
+    flag names; a flag that takes no value takes true or false."""
     actions = {a.dest: a for a in parser._actions if a.dest not in ("help", "config")}
     values = {}
     with open(path) as fp:
         for lineno, line in enumerate(fp, 1):
-            line = line.split("#", 1)[0].strip()
-            if not line:
+            line, where = line.strip(), f"{path}:{lineno}"
+            if not line or line.startswith("#"):
                 continue
-            if "=" not in line:
-                raise ValueError(f"{path}:{lineno}: expected key=value")
-            key, val = (part.strip() for part in line.split("=", 1))
-            key, val = key.replace("-", "_"), val.strip("\"'")
+            key, eq, val = line.partition("=")
+            if not eq or "#" in key:
+                raise ValueError(f"{where}: expected key=value")
+            key, val = key.strip().replace("-", "_"), val.strip()
+            if val[:1] in ("'", '"'):  # verbatim to the matching quote, '#' too
+                val, quote, rest = val[1:].partition(val[0])
+                if not quote or rest.strip()[:1] not in ("", "#"):
+                    raise ValueError(
+                        f"{where}: unmatched quote, or text after a quoted value")
+            else:
+                val = val.split("#", 1)[0].rstrip()
             if key not in actions:
                 raise ValueError(f"unknown config key: {key}")
             if actions[key].nargs == 0:  # store_true: argparse cannot convert it
                 if val.lower() not in ("true", "false"):
-                    raise ValueError(f"{path}:{lineno}: {key} must be true or false")
+                    raise ValueError(f"{where}: {key} must be true or false")
                 val = val.lower() == "true"
             values[key] = val
     return values

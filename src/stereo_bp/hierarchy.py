@@ -72,8 +72,8 @@ def run_hierarchical(volume, config):
     """Run BP coarsest-to-finest and extract the level-0 disparity map.
     Messages take the dtype of the volume's costs.
 
-    Returns (DisparityMap, trace) where trace rows are
-    (scale, sweep, active_pixels, max_delta, energy); scale 0 is finest.
+    Returns (DisparityMap, trace) where trace rows are `run_bp`'s (scale,
+    sweep, active_pixels, max_delta, energy); scale 0 is finest.
     """
     budgets = config.sweeps_per_scale
     pyramid = build_pyramid(volume, len(budgets))

@@ -1,9 +1,10 @@
 """PGM image and disparity-map I/O.
 
-Images and disparity maps travel as PGM files (P2 ASCII or P5 binary,
-maxval <= 255) so every experiment is reproducible bit-exactly from files
-on disk. Headers follow the Netpbm rules: whitespace-delimited tokens,
-'#' comments allowed anywhere before the raster.
+Images and disparity maps travel as PGM files (maxval <= 255; P2 ASCII or
+P5 binary is read, P5 is written) so every experiment is reproducible
+bit-exactly from files on disk. Headers follow the Netpbm rules:
+whitespace-delimited tokens, '#' comments allowed anywhere before the
+raster.
 """
 
 from __future__ import annotations
@@ -150,8 +151,8 @@ def read_pgm(path):
     return GrayImage(samples.astype(np.uint8).reshape(height, width))
 
 
-def write_pgm(image, path, binary=True):
-    """Write a GrayImage or DisparityMap as PGM (P5 when binary, else P2).
+def write_pgm(image, path):
+    """Write a GrayImage or DisparityMap as binary (P5) PGM.
 
     Disparity labels are encoded as gray = label * scale_factor; INVALID
     encodes as gray 0. Raises ValueError if any encoded value exceeds 255.
@@ -168,15 +169,8 @@ def write_pgm(image, path, binary=True):
     else:
         raster = image.samples
     h, w = raster.shape
-    header = f"{'P5' if binary else 'P2'}\n{w} {h}\n255\n".encode("ascii")
     with open(path, "wb") as fp:
-        fp.write(header)
-        if binary:
-            fp.write(raster.tobytes())
-        else:
-            for row in raster:
-                fp.write(" ".join(str(int(v)) for v in row).encode("ascii"))
-                fp.write(b"\n")
+        fp.write(f"P5\n{w} {h}\n255\n".encode("ascii") + raster.tobytes())
 
 
 def read_disparity_pgm(path, scale_factor=1):

@@ -9,7 +9,18 @@ from bp_reference import (
     smoothness_cost,
     update_message,
 )
-from stereo_bp import BpConfig, CostVolume, SmoothnessParams, labeling_energy
+from stereo_bp import (
+    BpConfig,
+    CostVolume,
+    NccParams,
+    PyramidConfig,
+    SmoothnessParams,
+    build_cost_volume,
+    labeling_energy,
+    make_stereogram,
+    run_hierarchical,
+)
+from stereo_bp import bp_engine
 from stereo_bp.bp_engine import (
     FROM_DOWN,
     FROM_LEFT,
@@ -17,12 +28,14 @@ from stereo_bp.bp_engine import (
     FROM_UP,
     ConvergenceMask,
     MessageField,
+    _argmin,
+    _relabel,
     _sweep,
     extract_disparity,
     run_bp,
     sweep,
 )
-from stereo_bp.pixmap_io import DisparityMap
+from stereo_bp.pixmap_io import INVALID, DisparityMap
 
 
 def _chain_volume(costs):
@@ -142,7 +155,9 @@ class TestSweep:
         sweep(vol, fld, mask, cfg)
         sweep(vol, fld, mask, cfg)
         assert not mask.active.any()
-        assert np.all(mask.last_delta[~mask.active] < 1e-3 + 1e-12)
+        # which pixels a change below epsilon leaves inactive is checked
+        # mask by mask against `scheduled_bp` in TestSchedule
+        assert mask.max_delta < cfg.epsilon
 
     def test_fast_epsilon_zero_matches_full_bitwise(self):
         rng = np.random.default_rng(24)
@@ -296,11 +311,13 @@ class TestSchedule:
             for _ in range(3):  # each sweep from an all-true mask
                 mask = ConvergenceMask(*shape[:2])
                 updated = _sweep(vol, fld, mask, cfg, dense=dense)
-                run.append((fld.msgs.copy(), mask.active, mask.last_delta, updated))
+                run.append((fld.msgs.copy(), mask.active, mask.changed,
+                            mask.max_delta, updated))
             runs.append(run)
-        for (m1, a1, d1, n1), (m2, a2, d2, n2) in zip(*runs):
+        for (m1, a1, c1, d1, n1), (m2, a2, c2, d2, n2) in zip(*runs):
             assert np.array_equal(m1, m2)
-            assert np.array_equal(a1, a2) and np.array_equal(d1, d2) and n1 == n2
+            assert np.array_equal(a1, a2) and np.array_equal(c1, c2)
+            assert d1 == d2 and n1 == n2
 
     @pytest.mark.parametrize("epsilon", [0.0, 1e-3])
     def test_float32_paths_agree_and_stay_float32(self, epsilon):
@@ -315,22 +332,25 @@ class TestSchedule:
             mask = ConvergenceMask(7, 9)
             updated = _sweep(vol, fld, mask, cfg, dense=dense)
             assert fld.msgs.dtype == np.float32
-            runs.append((fld.msgs, mask.active, mask.last_delta, updated))
-        (m1, a1, d1, n1), (m2, a2, d2, n2) = runs
+            runs.append((fld.msgs, mask.active, mask.changed, mask.max_delta, updated))
+        (m1, a1, c1, d1, n1), (m2, a2, c2, d2, n2) = runs
         assert np.array_equal(m1, m2)
-        assert np.array_equal(a1, a2) and np.array_equal(d1, d2) and n1 == n2
+        assert np.array_equal(a1, a2) and np.array_equal(c1, c2)
+        assert d1 == d2 and n1 == n2
 
 
 def _reference_trace(volume, config, sweeps):
     """run_bp's trace rows, each from the whole frame: sweep, then score
-    the labeling `extract_disparity` takes from the entire field."""
+    the labeling `extract_disparity` takes from the entire field, and take
+    max_delta from the messages before and after the sweep."""
     fld = MessageField(volume.height, volume.width, volume.levels)
     mask = ConvergenceMask(volume.height, volume.width)
     rows = []
     for it in range(1, sweeps + 1):
+        before = fld.msgs.copy()
         sweep(volume, fld, mask, config)
         energy = labeling_energy(volume, extract_disparity(volume, fld), config.smoothness)
-        max_delta = float(mask.last_delta[np.isfinite(mask.last_delta)].max(initial=0.0))
+        max_delta = float(np.abs(fld.msgs - before).max())
         rows.append((None, it, int(mask.active.sum()), max_delta, energy))
         if not mask.active.any():
             break
@@ -371,6 +391,26 @@ class TestEnergyTrace:
         run_bp(vol, MessageField(1, 9, 3), cfg, 12, trace=trace)
         assert trace == _reference_trace(vol, cfg, 12)[0]
 
+    def test_max_delta_is_zero_once_no_message_moved(self, monkeypatch):
+        # the fast 64x48 golden run (ncc volume, epsilon 1e-3): the last
+        # sweep of three scales moves no message, and its row must read
+        # 0.0, not a change below epsilon left by an earlier sweep
+        left, right, _ = make_stereogram(64, 48, 4, 3)
+        vol = build_cost_volume(left, right, 12, NccParams())
+        moved, original = [], bp_engine.sweep
+
+        def recording(volume, fld, mask, config):
+            before = fld.msgs.copy()
+            updated = original(volume, fld, mask, config)
+            moved.append(float(np.abs(fld.msgs - before).max()))
+            return updated
+
+        monkeypatch.setattr(bp_engine, "sweep", recording)
+        _, trace = run_hierarchical(vol, PyramidConfig(bp=BpConfig(epsilon=1e-3)))
+        assert [row[3] for row in trace] == moved
+        # the scales whose last sweep moved nothing, coarsest first
+        assert [row[0] for row, m in zip(trace, moved) if m == 0.0] == [3, 2, 1]
+
     def test_changed_marks_every_moved_belief(self):
         rng = np.random.default_rng(38)
         vol = CostVolume(rng.uniform(0, 1, size=(7, 9, 5)))
@@ -403,6 +443,17 @@ class TestExtractDisparity:
         fld.msgs[...] = rng.integers(0, 2, size=fld.msgs.shape)
         belief = vol.costs + fld.msgs.sum(axis=0)
         assert np.array_equal(extract_disparity(vol, fld).labels, np.argmin(belief, axis=2))
+        # the trace's relabeling keeps the same tie rule
+        labels = np.full((5, 6), INVALID, dtype=np.int32)
+        _relabel(vol, fld, labels, np.ones((5, 6), dtype=bool))
+        assert np.array_equal(labels, np.argmin(belief, axis=2))
+
+    @pytest.mark.parametrize("levels", [1, 4, 300])
+    def test_argmin_is_numpys_on_ties(self, levels):
+        # past 255 labels the rank no longer fits in a byte
+        belief = np.random.default_rng(36).integers(0, 3, size=(levels, 7, 5))
+        for b in (belief, belief.reshape(levels, -1), belief.astype(np.float32)):
+            assert np.array_equal(_argmin(b), np.argmin(b, axis=0))
 
 
 class TestLabelingEnergy:

@@ -272,6 +272,30 @@ class TestConfigFile:
         assert err.startswith("stereo-bp:") and reason in err
         assert not out.exists()
 
+    def test_quoted_hash_is_part_of_the_value(self, tmp_path):
+        spaced = tmp_path / "a dir"
+        spaced.mkdir()
+        paths = _synth(spaced)
+        out = tmp_path / "run#1.pgm"
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"left = {paths['left']}  # unquoted, spaces kept\n"
+                       f"right = '{paths['right']}'\n"
+                       f'out = "{out}"  # a quoted # is kept\n'
+                       "max-disp = 4\nsweeps = 1,1,1,1\n")
+        assert main(["match", "--config", str(cfg)]) == 0
+        assert out.exists() and not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("line", ['max-disp = "4', "out = 'o.pgm",
+                                      'max-disp = "4" 5'])
+    def test_unmatched_quote_exits_one(self, tmp_path, capsys, line):
+        paths = _synth(tmp_path)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"# quoting\n{line}\n")
+        out = tmp_path / "o.pgm"
+        assert _match(paths, out, "--config", str(cfg)) == 1
+        assert capsys.readouterr().err.startswith(f"stereo-bp: {cfg}:2: unmatched quote")
+        assert not out.exists()
+
 
 class TestOutputEncoding:
     @pytest.mark.parametrize(

@@ -61,7 +61,12 @@ def test_round_trip_identity(tmp_path, binary):
     rng = np.random.default_rng(3)
     img = GrayImage(rng.integers(0, 256, size=(11, 7), dtype=np.uint8))
     path = tmp_path / "rt.pgm"
-    write_pgm(img, path, binary=binary)
+    if binary:
+        write_pgm(img, path)
+        assert path.read_bytes().startswith(b"P5\n7 11\n255\n")
+    else:  # write_pgm writes only P5, so the P2 text is written here
+        rows = "\n".join(" ".join(map(str, row)) for row in img.samples.tolist())
+        path.write_text(f"P2\n7 11\n255\n{rows}\n")
     assert np.array_equal(read_pgm(path).samples, img.samples)
 
 
