@@ -19,7 +19,16 @@ stored label-major, so every step works on whole (H, W) planes, one per
 label: the min-convolution runs along the label axis plane by plane, and a
 sweep in which every pixel is active reads and writes shifted slices of
 the planes. Any other sweep gathers its active pixels into (L, n) columns
-and sends all four directions through one kernel call.
+and sends each pair of opposite directions through one kernel call.
+
+A dense sweep and the final argmin hold no temporary the size of a whole
+(L, H, W) frame: they go one strip of rows at a time, one slot's batch of
+a strip about _STRIP_BYTES. A strip reads only its own rows, and its
+messages reach at most one row beyond it, into the first row of the next
+strip; that row is held until the next strip is built, so every message
+still comes from the field as it stood before the sweep. A gathered sweep
+takes its belief one slot at a time and builds one pair of opposite slots
+at a time, so it holds about four (L, n) sets of columns for n senders.
 
 The per-sweep trace costs what a sweep changed: a sweep leaves on the
 mask its largest message change and the pixels whose incoming messages
@@ -48,13 +57,11 @@ _SENDS = {
     FROM_DOWN: (FROM_UP, -1, 0),
 }
 
-# Per offset along an axis: the slices of that axis holding the senders
-# and the receivers.
-_SHIFTS = {
-    1: (slice(None, -1), slice(1, None)),
-    -1: (slice(1, None), slice(None, -1)),
-    0: (slice(None), slice(None)),
-}
+# Dense sweeps and the final argmin work one strip of rows at a time: one
+# slot's label-major batch of a strip holds about this many bytes. A dense
+# sweep holds a strip's belief and its four batches at once; smaller strips
+# cost more numpy calls than they save.
+_STRIP_BYTES = 512 * 1024
 
 
 @dataclass
@@ -130,10 +137,12 @@ def _minconv_truncated_linear(h, slope, truncation):
     Labels run along axis 0, so each step is one whole-plane operation.
     Works in place: h is overwritten with the result, which is returned."""
     floor = np.min(h, axis=0, keepdims=True)
-    for d in range(1, h.shape[0]):
-        np.minimum(h[d, ...], h[d - 1, ...] + slope, out=h[d, ...])
-    for d in range(h.shape[0] - 2, -1, -1):
-        np.minimum(h[d, ...], h[d + 1, ...] + slope, out=h[d, ...])
+    # one view per label plane, and one buffer for the stepped plane
+    planes = [h[d:d + 1] for d in range(h.shape[0])]
+    step = np.empty_like(planes[0])
+    for prev, cur in (*zip(planes, planes[1:]), *zip(planes[::-1], planes[-2::-1])):
+        np.add(prev, slope, out=step)
+        np.minimum(cur, step, out=cur)
     np.minimum(h, floor + truncation, out=h)
     h -= floor
     return h
@@ -141,21 +150,57 @@ def _minconv_truncated_linear(h, slope, truncation):
 
 def _belief(costs, msgs):
     """costs + (((m0 + m1) + m2) + m3), summed in that order everywhere so
-    that every layout gives the same bits."""
-    total = msgs[0] + msgs[1]
-    total += msgs[2]
-    total += msgs[3]
+    that every layout gives the same bits. `msgs` may be any iterable of
+    the four slots, so that gathered slots are taken one at a time."""
+    msgs = iter(msgs)
+    total = next(msgs) + next(msgs)
+    for more in msgs:
+        total += more
     total += costs
     return total
 
 
-def _gather(volume, fld, flat):
-    """The (4, L, n) incoming message and (L, n) belief columns of the
-    pixels at flat indices `flat`, label-major whatever the field's layout."""
-    costs = volume.costs.transpose(2, 0, 1).reshape(fld.levels, -1)  # (L, H*W)
-    msgs = fld.msgs.transpose(0, 3, 1, 2).reshape(4, fld.levels, -1)
-    incoming = np.take(msgs, flat, axis=2)
-    return incoming, _belief(np.take(costs, flat, axis=1), incoming)
+def _planes(volume, fld):
+    """Costs as (L, H*W) and messages as (4, L, H*W) label-major planes:
+    views of the pipeline's storage; copies for a field whose layout numpy
+    cannot flatten in place."""
+    return (volume.costs.transpose(2, 0, 1).reshape(volume.levels, -1),
+            fld.msgs.transpose(0, 3, 1, 2).reshape(4, fld.levels, -1))
+
+
+def _gather(costs, msgs, flat):
+    """The (L, n) belief columns of the pixels at flat indices `flat` of
+    `_planes`, taking one slot's columns at a time."""
+    return _belief(np.take(costs, flat, axis=1), (np.take(m, flat, axis=1) for m in msgs))
+
+
+def _strip_rows(volume):
+    """Rows per strip: as many as keep one (L, rows, W) batch of the
+    volume's dtype within _STRIP_BYTES, and at least one."""
+    row = volume.levels * volume.width * volume.costs.itemsize
+    return max(1, _STRIP_BYTES // row)
+
+
+def _span(lo, hi, n, d):
+    """The senders in [lo, hi) of an axis of length n whose receivers, d
+    away along it, lie inside it; as a slice, and the receivers' slice."""
+    a, b = max(lo, -d), min(hi, n - d)
+    return slice(a, b), slice(a + d, b + d)
+
+
+def _sections(levels, sizes, dtype):
+    """One (L, sum(sizes)) kernel input, and its (L, size) sections. The
+    kernel works column by column, so batching sections changes no bit."""
+    ends = np.cumsum(sizes)
+    batch = np.empty((levels, ends[-1]), dtype=dtype)
+    return batch, np.split(batch, ends[:-1], axis=1)
+
+
+def _moved(old, new):
+    """How far each column moved from `old` to `new`, the largest change
+    over its labels; `old` is overwritten on the way."""
+    np.subtract(old, new, out=old)
+    return np.abs(old, out=old).max(axis=0)
 
 
 def sweep(volume, fld, mask, config):
@@ -163,16 +208,21 @@ def sweep(volume, fld, mask, config):
     outgoing messages is computed from the field as it stood before the
     sweep. Returns the number of pixels updated.
 
-    When every pixel is active, each slot's senders and receivers are two
-    shifted slices of the label-major (L, H, W) planes; otherwise the
-    active senders are gathered into (L, n) columns. Both give the same
-    bits."""
+    When every pixel is active, the senders go top to bottom in strips of
+    whole rows, each slot's senders and receivers two shifted slices of
+    the strip's label-major (L, rows, W) planes. A strip's messages reach
+    at most one row beyond it: those its last row sends down, into the
+    first row of the next strip. So that row is held until the next strip
+    is built, and every message still comes from the field as it stood
+    before the sweep; the rest land in the strip or the rows above it,
+    which no later strip reads. Otherwise the active senders are gathered
+    into (L, n) columns. Both give the same bits."""
     return _sweep(volume, fld, mask, config, dense=bool(mask.active.all()))
 
 
 def _sweep(volume, fld, mask, config, dense):
-    """`sweep` by shifted slices (`dense`, which needs every pixel active)
-    or by gathered columns."""
+    """`sweep` by shifted slices of row strips (`dense`, which needs every
+    pixel active) or by gathered columns."""
     if (fld.height, fld.width, fld.levels) != (volume.height, volume.width, volume.levels):
         raise ValueError("message field and cost volume dimensions disagree")
     params = config.smoothness
@@ -180,65 +230,95 @@ def _sweep(volume, fld, mask, config, dense):
     h, w = fld.height, fld.width
     active = mask.active
 
-    if dense:
-        base = _belief(volume.costs.transpose(2, 0, 1), msgs)
-    else:
-        ys, xs = np.nonzero(active)
-        incoming, base = _gather(volume, fld, ys * w + xs)
-        planes = h * w * np.arange(fld.levels)[:, None]  # offset of each label plane
-
-    def prepare(slot):
-        """The senders and receivers of `slot` as (H, W) indices, and h
-        toward each receiver: data + all incoming but the one it sent."""
-        back, dy, dx = _SENDS[slot]
-        if dense:
-            (sy, ry), (sx, rx) = _SHIFTS[dy], _SHIFTS[dx]
-            return (sy, sx), (ry, rx), base[:, sy, sx] - msgs[back][:, sy, sx]
-        qy, qx = ys + dy, xs + dx
-        has = (qy >= 0) & (qy < h) & (qx >= 0) & (qx < w)
-        hq = np.compress(has, base, axis=1) - np.compress(has, incoming[back], axis=1)
-        return (ys[has], xs[has]), (qy[has], qx[has]), hq
-
     # a sender's outgoing change is the most any slot it writes moves;
     # a receiver's incoming change, the most any of its slots moves
     out_delta = np.zeros((h, w))
     incoming_delta = np.zeros((h, w))
 
-    def write(slot, src, dst, msg):
-        ry, rx = dst
-        if dense:
-            change = msg - msgs[slot][:, ry, rx]
-            msgs[slot][:, ry, rx] = msg
-        else:
-            at = planes + (ry * w + rx)
-            change = msg - np.take(msgs[slot], at)
-            np.put(msgs[slot], at, msg)
-        delta = np.abs(change, out=change).max(axis=0)
+    def record(src, dst, delta):
         out_delta[src] = np.maximum(out_delta[src], delta)
         incoming_delta[dst] = np.maximum(incoming_delta[dst], delta)
 
     if dense:
-        # opposite slots read each other (a message leaves out what came
-        # from its receiver), so both of a pair are prepared before either
-        # is sent; one pair at a time, each batch dropped once sent, so that
-        # at most two whole-plane batches are held at once
-        for pair in ((FROM_LEFT, FROM_RIGHT), (FROM_UP, FROM_DOWN)):
-            batches = [(slot, *prepare(slot)) for slot in pair]
+        costs = volume.costs.transpose(2, 0, 1)
+
+        def strip(top, bottom):
+            """(slot, senders, receivers, messages) batches of the senders in
+            rows [top, bottom), all through one kernel call: data + all
+            incoming but what came from the receiver, min-convolved. The
+            last batch, copied out, holds the messages sent down from the
+            last row: the only ones that leave the strip."""
+            base = _belief(costs[:, top:bottom], msgs[:, :, top:bottom])
+            spans = [(slot, _span(top, bottom, h, dy), _span(0, w, w, dx))
+                     for slot, (_, dy, dx) in _SENDS.items() if slot != FROM_UP]
+            spans += [(FROM_UP, _span(a, b, h, 1), _span(0, w, w, 0))
+                      for a, b in ((top, bottom - 1), (bottom - 1, bottom))]
+            shapes = [(sy.stop - sy.start, sx.stop - sx.start) for _, (sy, _), (sx, _) in spans]
+            batch, parts = _sections(fld.levels, [r * c for r, c in shapes], base.dtype)
+            batches = []
+            for (slot, (sy, ry), (sx, rx)), part, shape in zip(spans, parts, shapes):
+                hq = part.reshape(fld.levels, *shape)
+                np.subtract(base[:, sy.start - top:sy.stop - top, sx],
+                            msgs[_SENDS[slot][0]][:, sy, sx], out=hq)
+                batches.append((slot, (sy, sx), (ry, rx), hq))
+            del base
+            _minconv_truncated_linear(batch, params.slope, params.truncation)
+            slot, src, dst, hq = batches.pop()
+            return batches + [(slot, src, dst, hq.copy())]
+
+        def write(batches):
+            """Store each batch through its receivers' planes, dropping it."""
             while batches:
-                slot, src, dst, hq = batches.pop()
-                write(slot, src, dst, _minconv_truncated_linear(
-                    hq, params.slope, params.truncation))
+                slot, src, dst, msg = batches.pop()
+                old = msgs[slot][:, dst[0], dst[1]]
+                record(src, dst, _moved(old, msg))
+                old[...] = msg
+
+        # the row a strip sends into the next is written once the next is
+        # built, from the field as it stood before the sweep; the rest of
+        # its messages land inside the strip or behind it, at once
+        rows, held = _strip_rows(volume), []
+        for top in range(0, h, rows):
+            ready = strip(top, min(top + rows, h))
+            write(held)
+            held = [ready.pop()]
+            write(ready)
+        write(held)
     else:
-        # all four slots are prepared before any is written, and their
-        # columns, concatenated, go through one kernel call: the kernel
-        # works column by column, so the batching changes no bit
-        batches = [(slot, *prepare(slot)) for slot in _SENDS]
-        msg = _minconv_truncated_linear(
-            np.concatenate([hq for *_, hq in batches], axis=1),
-            params.slope, params.truncation)
-        ends = np.cumsum([hq.shape[1] for *_, hq in batches])
-        for (slot, src, dst, _), part in zip(batches, np.split(msg, ends[:-1], axis=1)):
-            write(slot, src, dst, part)
+        ys, xs = np.nonzero(active)
+        flat = ys * w + xs
+        costs, planes = _planes(volume, fld)
+        base = _gather(costs, planes, flat)
+
+        def send(pair):
+            """Build both slots of `pair` from the senders' columns, through
+            one kernel call, then write them."""
+            routes = []
+            for slot in pair:
+                back, dy, dx = _SENDS[slot]
+                qy, qx = ys + dy, xs + dx
+                has = (qy >= 0) & (qy < h) & (qx >= 0) & (qx < w)
+                routes.append((slot, back, has, (ys[has], xs[has]), (qy[has], qx[has])))
+            batch, parts = _sections(
+                fld.levels, [np.count_nonzero(has) for _, _, has, _, _ in routes], base.dtype)
+            for (slot, back, has, _, _), part in zip(routes, parts):
+                np.compress(has, base, axis=1, out=part)
+                part -= np.take(planes[back], flat[has], axis=1)
+            _minconv_truncated_linear(batch, params.slope, params.truncation)
+            # each slot's receivers are one column index into its plane
+            for (slot, _, _, src, dst), part in zip(routes, parts):
+                cols = dst[0] * w + dst[1]
+                record(src, dst, _moved(np.take(planes[slot], cols, axis=1), part))
+                for plane, new in zip(planes[slot], part):
+                    plane[cols] = new
+
+        # opposite slots read each other (a message leaves out what came
+        # from its receiver), so both of a pair are built before either is
+        # written, and one pair's columns are dropped before the next's
+        send((FROM_LEFT, FROM_RIGHT))
+        send((FROM_UP, FROM_DOWN))
+        if not np.may_share_memory(planes, msgs):  # `_planes` copied them
+            msgs[...] = planes.reshape(msgs.shape)
 
     # every message moved is some sender's, so this is the sweep's largest
     mask.max_delta = float(out_delta.max())
@@ -297,14 +377,18 @@ def _argmin(belief):
 def _relabel(volume, fld, labels, changed):
     """Relabel the `changed` pixels in place, as `extract_disparity` would."""
     flat = np.flatnonzero(changed)
-    np.put(labels, flat, _argmin(_gather(volume, fld, flat)[1]))
+    np.put(labels, flat, _argmin(_gather(*_planes(volume, fld), flat)))
 
 
 def extract_disparity(volume, fld):
     """MAP labeling: per-pixel argmin of data cost plus all incoming
-    messages, ties toward smaller disparity."""
-    belief = _belief(volume.costs.transpose(2, 0, 1), fld.msgs.transpose(0, 3, 1, 2))
-    return DisparityMap(_argmin(belief))
+    messages, ties toward smaller disparity. Taken strip by strip, as a
+    dense sweep goes, so no whole-frame belief is held."""
+    costs, msgs = volume.costs.transpose(2, 0, 1), fld.msgs.transpose(0, 3, 1, 2)
+    rows = _strip_rows(volume)
+    return DisparityMap(np.concatenate([
+        _argmin(_belief(costs[:, top:top + rows], msgs[:, :, top:top + rows]))
+        for top in range(0, volume.height, rows)]))
 
 
 def labeling_energy(volume, disparity, params):

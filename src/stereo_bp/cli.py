@@ -50,7 +50,9 @@ def _load_config_file(path, parser):
             else:
                 val = val.split("#", 1)[0].rstrip()
             if key not in actions:
-                raise ValueError(f"unknown config key: {key}")
+                raise ValueError(f"{where}: unknown config key: {key}")
+            if key in values:
+                raise ValueError(f"{where}: {key} is set twice")
             if actions[key].nargs == 0:  # store_true: argparse cannot convert it
                 if val.lower() not in ("true", "false"):
                     raise ValueError(f"{where}: {key} must be true or false")

@@ -117,13 +117,13 @@ def build_cost_volume(left, right, levels, params):
 def downsample_volume(volume):
     """Coarsen by summing costs over 2x2 blocks (ceil-halved dimensions,
     same disparity range and dtype). Each block is summed as
-    ((a00 + a01) + a10) + a11 on the label-major planes, an odd edge
-    padded with zeros."""
-    h, w, levels = volume.costs.shape
-    ch, cw = (h + 1) // 2, (w + 1) // 2
-    padded = np.zeros((levels, 2 * ch, 2 * cw), dtype=volume.costs.dtype)
-    padded[:, :h, :w] = volume.costs.transpose(2, 0, 1)
-    coarse = padded[:, 0::2, 0::2] + padded[:, 0::2, 1::2]
-    coarse += padded[:, 1::2, 0::2]
-    coarse += padded[:, 1::2, 1::2]
+    ((a00 + a01) + a10) + a11 on the label-major planes; a block cut short
+    by an odd edge leaves out the pixels it lacks, as adding 0 would, and
+    no padded copy of the volume is made."""
+    h, w, _ = volume.costs.shape
+    fine = volume.costs.transpose(2, 0, 1)
+    coarse = fine[:, 0::2, 0::2].copy()
+    coarse[:, :, : w // 2] += fine[:, 0::2, 1::2]
+    coarse[:, : h // 2, :] += fine[:, 1::2, 0::2]
+    coarse[:, : h // 2, : w // 2] += fine[:, 1::2, 1::2]
     return CostVolume(coarse.transpose(1, 2, 0))

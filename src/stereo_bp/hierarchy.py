@@ -79,11 +79,12 @@ def run_hierarchical(volume, config):
     pyramid = build_pyramid(volume, len(budgets))
     trace = []
     fld = None
-    for scale, sweeps in zip(range(len(budgets) - 1, -1, -1), budgets):
-        vol = pyramid[scale]
+    for sweeps in budgets:
+        # popped, so that each coarse level is dropped once its scale has run
+        scale, vol = len(pyramid) - 1, pyramid.pop()
         if fld is None:
             fld = MessageField(vol.height, vol.width, vol.levels, vol.costs.dtype)
         else:
             fld = lift_messages(fld, vol.height, vol.width)
         run_bp(vol, fld, config.bp, sweeps, trace=trace, scale=scale)
-    return extract_disparity(pyramid[0], fld), trace
+    return extract_disparity(vol, fld), trace

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -319,6 +321,25 @@ class TestSchedule:
             assert np.array_equal(a1, a2) and np.array_equal(c1, c2)
             assert d1 == d2 and n1 == n2
 
+    @pytest.mark.parametrize("layout", [np.ascontiguousarray, np.asfortranarray])
+    @pytest.mark.parametrize("dense", [True, False])
+    def test_any_field_layout_gives_the_same_bits(self, layout, dense):
+        # a Fortran-ordered field cannot be flattened into (4, L, H*W)
+        # planes in place, so the gathered path writes a copy back
+        rng = np.random.default_rng(42)
+        vol = CostVolume(rng.uniform(0, 2, size=(7, 9, 5)))
+        start = rng.uniform(0, 2, size=(4, 7, 9, 5))
+        cfg = BpConfig(epsilon=1e-3, smoothness=SmoothnessParams(0.7, 1.5))
+        fields = [MessageField(7, 9, 5), MessageField(7, 9, 5)]
+        fields[0].msgs[...] = start
+        fields[1].msgs = layout(start)
+        flattened = bp_engine._planes(vol, fields[1])[1]
+        assert np.may_share_memory(flattened, fields[1].msgs) == (layout is np.ascontiguousarray)
+        for _ in range(3):
+            for fld in fields:
+                _sweep(vol, fld, ConvergenceMask(7, 9), cfg, dense=dense)
+            assert np.array_equal(fields[0].msgs, fields[1].msgs)
+
     @pytest.mark.parametrize("epsilon", [0.0, 1e-3])
     def test_float32_paths_agree_and_stay_float32(self, epsilon):
         rng = np.random.default_rng(35)
@@ -337,6 +358,73 @@ class TestSchedule:
         assert np.array_equal(m1, m2)
         assert np.array_equal(a1, a2) and np.array_equal(c1, c2)
         assert d1 == d2 and n1 == n2
+
+
+def _strip_height(monkeypatch, volume, rows):
+    """Set the strip budget so that strips of `volume` are `rows` high."""
+    row = volume.levels * volume.width * volume.costs.itemsize
+    monkeypatch.setattr(bp_engine, "_STRIP_BYTES", rows * row)
+    assert bp_engine._strip_rows(volume) == rows
+
+
+class TestStrips:
+    # strip heights: one row, two rows, and one that leaves a short last
+    # strip (or a single strip where the image is lower)
+    @pytest.mark.parametrize("rows", [1, 2, 3])
+    @pytest.mark.parametrize("epsilon", [0.0, 1e-3])
+    @pytest.mark.parametrize("shape", [(1, 9, 4), (9, 1, 4), (7, 5, 3), (8, 11, 6), (1, 1, 2)])
+    def test_strips_match_one_strip(self, monkeypatch, shape, epsilon, rows):
+        rng = np.random.default_rng(39)
+        vol = CostVolume(rng.uniform(0, 2, size=shape))
+        start = rng.uniform(0, 2, size=(4, *shape))
+        cfg = BpConfig(epsilon=epsilon, smoothness=SmoothnessParams(0.7, 1.5))
+        runs = []
+        for height in (shape[0], rows):
+            _strip_height(monkeypatch, vol, height)
+            fld = MessageField(*shape)
+            fld.msgs[...] = start
+            run = []
+            for _ in range(3):  # each sweep from an all-true mask: dense
+                mask = ConvergenceMask(*shape[:2])
+                updated = sweep(vol, fld, mask, cfg)
+                run.append((fld.msgs.copy(), mask.active, mask.changed,
+                            mask.max_delta, updated, extract_disparity(vol, fld).labels))
+            runs.append(run)
+        for (m1, a1, c1, d1, n1, l1), (m2, a2, c2, d2, n2, l2) in zip(*runs):
+            assert np.array_equal(m1, m2)
+            assert np.array_equal(a1, a2) and np.array_equal(c1, c2)
+            assert d1 == d2 and n1 == n2
+            assert np.array_equal(l1, l2)
+
+    def test_strips_match_the_scalar_reference(self, monkeypatch):
+        # one-row strips, so every strip hands a row to the next
+        rng = np.random.default_rng(40)
+        vol = CostVolume(rng.uniform(0, 1, size=(5, 4, 3)))
+        _strip_height(monkeypatch, vol, 1)
+        fld, _, _ = _run(vol, 6)
+        assert np.array_equal(fld.msgs, jacobi_bp(vol, 6, SmoothnessParams()).msgs)
+
+    def test_dense_sweep_and_argmin_hold_no_whole_frame(self, monkeypatch):
+        # sixteen strips of 16 rows; a whole (L, H, W) float32 frame is 2 MiB
+        h, w, levels = 256, 64, 32
+        rng = np.random.default_rng(41)
+        vol = CostVolume(rng.uniform(0, 2, size=(h, w, levels)).astype(np.float32))
+        fld = MessageField(h, w, levels, np.float32)
+        fld.msgs[...] = rng.uniform(0, 2, size=fld.msgs.shape).astype(np.float32)
+        _strip_height(monkeypatch, vol, 16)
+        mask = ConvergenceMask(h, w)
+        tracemalloc.start()
+        try:
+            sweep(vol, fld, mask, BpConfig(epsilon=0.0))
+            swept = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            labels = extract_disparity(vol, fld)
+            extracted = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        frame = levels * h * w * 4
+        assert mask.active.any() and labels.labels.shape == (h, w)
+        assert swept < frame and extracted < frame
 
 
 def _reference_trace(volume, config, sweeps):

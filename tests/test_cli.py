@@ -265,11 +265,23 @@ class TestConfigFile:
     def test_bad_key_exits_one(self, tmp_path, capsys, line, reason):
         paths = _synth(tmp_path)
         cfg = tmp_path / "run.cfg"
-        cfg.write_text(line + "\n")
+        cfg.write_text(f"# one bad key\n{line}\n")
         out = tmp_path / "o.pgm"
         assert _match(paths, out, "--config", str(cfg), "--max-disp", "4") == 1
-        err = capsys.readouterr().err
-        assert err.startswith("stereo-bp:") and reason in err
+        assert capsys.readouterr().err == f"stereo-bp: {cfg}:2: {reason}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("first, repeat", [("max-disp = 4", "max-disp = 6"),
+                                               ("max_disp = 4", "max-disp = 4"),
+                                               ("trace = true", "trace = false")])
+    def test_repeated_key_exits_one(self, tmp_path, capsys, first, repeat):
+        paths = _synth(tmp_path)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"{first}\nscales = 2\n\n{repeat}\n")
+        out = tmp_path / "o.pgm"
+        assert _match(paths, out, "--config", str(cfg)) == 1
+        key = first.split("=")[0].strip().replace("-", "_")
+        assert capsys.readouterr().err == f"stereo-bp: {cfg}:4: {key} is set twice\n"
         assert not out.exists()
 
     def test_quoted_hash_is_part_of_the_value(self, tmp_path):

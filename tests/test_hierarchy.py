@@ -1,3 +1,5 @@
+import weakref
+
 import numpy as np
 import pytest
 
@@ -162,6 +164,21 @@ class TestRunHierarchical:
         vol = CostVolume(_random_volume(9, 7, 3, 9).costs.astype(dtype))
         run_hierarchical(vol, PyramidConfig(sweeps_per_scale=[2, 2, 2]))
         assert seen == [(dtype, dtype)] * 3
+
+    def test_each_coarse_level_is_dropped_once_its_scale_has_run(self, monkeypatch):
+        vol = _random_volume(17, 12, 3, 10)
+        levels, alive = [], []
+
+        def record(volume, fld, *args, **kwargs):
+            # the levels of the scales already run, coarsest first
+            alive.append([ref() is not None for ref in levels])
+            levels.append(weakref.ref(volume))
+            return run_bp(volume, fld, *args, **kwargs)
+
+        monkeypatch.setattr("stereo_bp.hierarchy.run_bp", record)
+        run_hierarchical(vol, PyramidConfig(sweeps_per_scale=[2, 2, 2, 2]))
+        assert alive == [[], [False], [False, False], [False, False, False]]
+        assert levels[-1]() is vol
 
     def test_epsilon_zero_is_all_active_sweeps_with_less_work(self, monkeypatch):
         # the 64x48, L=12 stereogram of the golden FAST run, matched at
