@@ -72,8 +72,8 @@ class SmoothnessParams:
     truncation: float = 2.0
 
     def __post_init__(self):
-        if self.slope < 0 or self.truncation <= 0:
-            raise ValueError("slope must be >= 0 and truncation > 0")
+        if not (0 <= self.slope < np.inf and 0 < self.truncation < np.inf):  # NaN included
+            raise ValueError("slope must be finite and >= 0, truncation finite and > 0")
 
 
 @dataclass

@@ -1,10 +1,9 @@
 """NCC matching-cost volume construction and 2x2 coarsening.
 
 The data term for matching left pixel (x, y) at disparity d is
-min(lambda_d * (1 - NCC), tau_d), computed over (2r+1)^2 windows centered
-at (x, y) in the left view and (x - d, y) in the right view. Pixels whose
-window (or shifted window) leaves the image get the fully truncated cost
-tau_d at that disparity, which is neutral for the optimization.
+min(lambda_d * (1 - NCC), tau_d) over the (2r+1)^2 windows at (x, y) in the
+left view and (x - d, y) in the right. A pixel whose window leaves either
+image gets the fully truncated cost tau_d, neutral for the optimization.
 """
 
 from __future__ import annotations
@@ -23,8 +22,8 @@ class NccParams:
     def __post_init__(self):
         if self.window_radius < 1:
             raise ValueError("window_radius must be >= 1")
-        if self.data_weight <= 0 or self.data_truncation <= 0:
-            raise ValueError("data_weight and data_truncation must be > 0")
+        if not (0 < self.data_weight < np.inf and 0 < self.data_truncation < np.inf):
+            raise ValueError("data_weight and data_truncation must be finite and > 0")
 
 
 @dataclass
@@ -61,56 +60,57 @@ class CostVolume:
         return self.costs.shape[2]
 
 
-def _box_sums(arr, r):
-    """Sum of arr over the (2r+1)^2 window at each fully interior pixel;
-    returns an (H - 2r, W - 2r) array (exact integer-friendly cumsums)."""
-    k = 2 * r + 1
-    c = np.cumsum(np.cumsum(arr, axis=0), axis=1)
-    c = np.pad(c, ((1, 0), (1, 0)))
-    return c[k:, k:] - c[:-k, k:] - c[k:, :-k] + c[:-k, :-k]
+def _box_sums(arr, k):
+    """Sums of arr over every interior k x k window: k - 1 adds per axis."""
+    m, n = arr.shape[0] - k + 1, arr.shape[1] - k + 1
+    rows = arr[:m] + arr[1 : m + 1]
+    for i in range(2, k):
+        rows += arr[i : m + i]
+    out = rows[:, :n] + rows[:, 1 : n + 1]
+    for j in range(2, k):
+        out += rows[:, j : n + j]
+    return out
 
 
 def build_cost_volume(left, right, levels, params):
     """Build the (H, W, L) truncated NCC cost volume with the left view as
-    reference: disparity d matches left (x, y) to right (x - d, y). Each
-    disparity fills one (H, W) plane of the label-major storage. NCC is
-    computed in float64; the costs are stored in float32."""
-    li = left.samples.astype(np.float64)
-    ri = right.samples.astype(np.float64)
+    reference: disparity d matches left (x, y) to right (x - d, y), and fills
+    one (H, W) plane of the label-major storage. With k = 2r + 1,
+    NCC = (k²Σlr − ΣlΣr) / sqrt(Vl·Vr), where Vl = k²Σl² − (Σl)². Window
+    sums, numerator and variances are exact integers (int32, or int64 once
+    k²·k²·255² reaches 2³¹). Only Vl·Vr, the sqrt and the division round, in
+    float64. A flat window's variance and numerator are 0; variances are
+    raised to >= 1, so its NCC is exactly 0. Costs are stored in float32."""
+    li, ri = left.samples, right.samples
     if li.shape != ri.shape:
         raise ValueError(f"image shapes differ: {li.shape} vs {ri.shape}")
     if levels < 1:
         raise ValueError("levels must be >= 1")
-
-    h, w = li.shape
-    r = params.window_radius
-    tau = params.data_truncation
-    lam = params.data_weight
-    costs = np.full((levels, h, w), tau, dtype=np.float32)
-
-    k2 = (2 * r + 1) ** 2
-    iw = w - 2 * r  # interior width/height where windows fit
-    ih = h - 2 * r
-    if iw > 0 and ih > 0:
-        ls = _box_sums(li, r)
-        ls2 = _box_sums(li * li, r)
-        rs = _box_sums(ri, r)
-        rs2 = _box_sums(ri * ri, r)
-        lvar = ls2 - ls * ls / k2
-        rvar = rs2 - rs * rs / k2
-        for d in range(levels):
-            if d >= iw:
-                break
-            # interior centers x in [r + d, w - r), shifted centers x - d
-            cross = _box_sums(li[:, d:] * ri[:, : w - d], r)
-            la, lb = ls[:, d:], rs[:, : iw - d]
-            num = cross - la * lb / k2
-            denom = lvar[:, d:] * rvar[:, : iw - d]
-            with np.errstate(invalid="ignore", divide="ignore"):
-                ncc = np.where(denom > 0, num / np.sqrt(np.maximum(denom, 0)), 0.0)
-            ncc = np.clip(ncc, -1.0, 1.0)
-            costs[d, r : r + ih, r + d : w - r] = np.minimum(lam * (1.0 - ncc), tau)
-
+    (h, w), r = li.shape, params.window_radius
+    costs = np.full((levels, h, w), params.data_truncation, dtype=np.float32)
+    k, k2 = 2 * r + 1, (2 * r + 1) ** 2
+    ih, iw = h - 2 * r, w - 2 * r  # interior height/width where windows fit
+    if ih > 0 and iw > 0:
+        # k² times a window sum of products is at most k²·k²·255²
+        dtype = np.int32 if k2 * k2 * 255**2 < 2**31 else np.int64
+        li, ri = li.astype(dtype), ri.astype(dtype)
+        ls, rs = _box_sums(li, k), _box_sums(ri, k)
+        lvar = np.maximum(k2 * _box_sums(li * li, k) - ls * ls, 1).astype(np.float64)
+        rvar = np.maximum(k2 * _box_sums(ri * ri, k) - rs * rs, 1).astype(np.float64)
+        num_buf, den_buf = np.empty(ih * iw), np.empty(ih * iw)
+        for d in range(min(levels, iw)):
+            # centers x in [r + d, w - r); contiguous (ih, n) views pass faster
+            n = iw - d
+            num, den = (b[: ih * n].reshape(ih, n) for b in (num_buf, den_buf))
+            cross = k2 * _box_sums(li[:, d:] * ri[:, : w - d], k)
+            np.subtract(cross, ls[:, d:] * rs[:, :n], out=num)
+            np.multiply(lvar[:, d:], rvar[:, :n], out=den)
+            np.sqrt(den, out=den)
+            np.divide(num, den, out=num)
+            np.clip(num, -1.0, 1.0, out=num)
+            np.subtract(1.0, num, out=num)
+            np.multiply(num, params.data_weight, out=num)
+            np.minimum(num, params.data_truncation, out=costs[d, r : r + ih, r + d : w - r])
     return CostVolume(costs.transpose(1, 2, 0))
 
 

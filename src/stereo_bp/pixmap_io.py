@@ -29,12 +29,18 @@ class PgmError(ValueError):
 
 @dataclass
 class GrayImage:
-    """Row-major 8-bit luminance raster."""
+    """Row-major 8-bit luminance raster. Samples given in another dtype must
+    be integral values in [0, 255]; they are never wrapped or truncated."""
 
     samples: np.ndarray  # (height, width) uint8
 
     def __post_init__(self):
-        self.samples = np.asarray(self.samples, dtype=np.uint8)
+        s = np.asarray(self.samples)
+        if s.dtype != np.uint8:
+            if not np.all((s >= 0) & (s <= 255) & (s == np.floor(s))):  # NaN fails all three
+                raise ValueError("GrayImage samples must be integers in [0, 255]")
+            s = s.astype(np.uint8)
+        self.samples = s
         if self.samples.ndim != 2 or self.samples.size == 0:
             raise ValueError("GrayImage needs a non-empty 2-D sample array")
 

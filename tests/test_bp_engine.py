@@ -73,6 +73,14 @@ class TestSmoothnessCost:
                 assert v == smoothness_cost(b, a, p)
                 assert 0 <= v <= p.truncation
 
+    @pytest.mark.parametrize("slope, truncation", [
+        (float("nan"), 2.0), (1.0, float("nan")), (float("inf"), 2.0),
+        (1.0, float("inf")), (-0.5, 2.0), (1.0, 0.0),
+    ])
+    def test_params_rejected_at_construction(self, slope, truncation):
+        with pytest.raises(ValueError, match="slope must be"):
+            SmoothnessParams(slope, truncation)
+
 
 class TestUpdateMessage:
     def test_all_zero_inputs_give_zero_vector(self):

@@ -1,3 +1,5 @@
+from decimal import Decimal, localcontext
+
 import numpy as np
 import pytest
 
@@ -134,6 +136,100 @@ class TestBuildCostVolume:
         vol = build_cost_volume(img, img, 3, NccParams())
         assert vol.costs.dtype == np.float32
         assert vol.costs.transpose(2, 0, 1).flags.c_contiguous
+
+
+def _decimal_costs(left, right, levels, params):
+    """Exact oracle: integer window sums, then NCC and the truncated cost in
+    60-digit decimal arithmetic. Returns the (H, W, L) costs and a mask of
+    the costs that must come out exact: off-window, flat and NCC = +-1."""
+    a = left.samples.astype(np.int64)
+    b = right.samples.astype(np.int64)
+    h, w = a.shape
+    r = params.window_radius
+    k2 = (2 * r + 1) ** 2
+    lam, tau = Decimal(params.data_weight), Decimal(params.data_truncation)
+    want = np.full((h, w, levels), tau, dtype=object)
+    exact = np.ones((h, w, levels), dtype=bool)
+    with localcontext() as ctx:
+        ctx.prec = 60
+        for y, x, d in np.ndindex(h, w, levels):
+            if not (r <= y < h - r and r + d <= x < w - r):
+                continue
+            lw = a[y - r : y + r + 1, x - r : x + r + 1]
+            rw = b[y - r : y + r + 1, x - d - r : x - d + r + 1]
+            sl, sr = int(lw.sum()), int(rw.sum())
+            num = k2 * int((lw * rw).sum()) - sl * sr
+            var = (k2 * int((lw * lw).sum()) - sl * sl) * (k2 * int((rw * rw).sum()) - sr * sr)
+            ncc = Decimal(num) / Decimal(var).sqrt() if var else Decimal(0)
+            want[y, x, d] = min(lam * (1 - ncc), tau)
+            exact[y, x, d] = var == 0 or num * num == var
+    return want, exact
+
+
+def _shifted(img, shift):
+    """img moved left by `shift` columns, its right edge refilled with noise."""
+    out = np.roll(img, -shift, axis=1)
+    out[:, -shift:] = np.random.default_rng(shift).integers(0, 256, (img.shape[0], shift))
+    return out
+
+
+def _scenes():
+    rng = np.random.default_rng(21)
+    blocks = np.kron(rng.integers(0, 4, (3, 4)) * 85, np.ones((5, 5), dtype=np.int64))
+    stripes = np.tile(rng.integers(0, 256, 18), (11, 1))
+    noise = rng.integers(0, 256, (12, 16))
+    # at r = 7, k^2 * sum(l * r) of all-255 windows is 225^2 * 255^2 > 2^31:
+    # the int64 path
+    saturated = rng.choice([0, 255], (17, 24))
+    saturated[:, :17] = 255
+    # at r = 10 a half-255 window's variance, up to 21^4 * 255^2 / 4, itself
+    # passes 2^31, so int32 arithmetic would give wrong costs
+    halves = rng.choice([0, 255], (23, 30))
+    return {
+        "flat": (blocks, _shifted(blocks, 2), 4, 1),
+        "stripes": (stripes, _shifted(stripes, 3), 5, 1),
+        "gain-0.7": (noise, np.round(0.7 * _shifted(noise, 2)), 4, 2),
+        "saturated-r7": (saturated, np.where(rng.random((17, 24)) < 0.8, _shifted(saturated, 1), 0), 3, 7),
+        "saturated-r10": (halves, _shifted(halves, 1), 3, 10),
+    }
+
+
+class TestDecimalOracle:
+    @pytest.mark.parametrize("name", sorted(_scenes()))
+    @pytest.mark.parametrize("weight, truncation", [(1.3, 1.8), (0.7, 1.5), (2.0, 0.9)])
+    def test_costs_within_one_ulp(self, name, weight, truncation):
+        left, right, levels, radius = _scenes()[name]
+        left, right = _image(left), _image(right)
+        p = NccParams(window_radius=radius, data_weight=weight, data_truncation=truncation)
+        got = build_cost_volume(left, right, levels, p).costs
+        want, exact = _decimal_costs(left, right, levels, p)
+        assert exact.any() and not exact.all()
+        for idx in np.ndindex(got.shape):
+            target = np.float32(float(want[idx]))  # the correctly rounded cost
+            if exact[idx]:
+                assert got[idx] == target, idx
+            else:
+                assert abs(Decimal(float(got[idx])) - want[idx]) <= Decimal(
+                    float(np.spacing(target))), idx
+
+    def test_flat_windows_cost_exactly_min_weight_truncation(self):
+        left, right, levels, radius = _scenes()["flat"]
+        p = NccParams(window_radius=radius, data_weight=1.3, data_truncation=1.8)
+        costs = build_cost_volume(_image(left), _image(right), levels, p).costs
+        win = np.lib.stride_tricks.sliding_window_view(left, (3, 3))
+        ys, xs = np.nonzero(win.min(axis=(2, 3)) == win.max(axis=(2, 3)))
+        assert len(ys) > 20
+        for y, x in zip(ys + 1, xs + 1):  # window centers
+            # a flat left window scores NCC 0 against any right window
+            assert costs[y, x, : x].tolist() == [np.float32(1.3)] * min(x, levels)
+
+
+class TestNccParams:
+    @pytest.mark.parametrize("field", ["data_weight", "data_truncation"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), 0.0, -1.0])
+    def test_rejected_at_construction(self, field, value):
+        with pytest.raises(ValueError, match="must be finite and > 0"):
+            NccParams(**{field: value})
 
 
 class TestCostVolumeDtype:

@@ -1,15 +1,17 @@
 """Golden outputs: sha256 of the disparity PGM and the trace CSV of two
-small synthetic runs, one per schedule, and of the disparity PGM and the
-printed score line of the first fixture of the two benchmark workloads,
-matched with the benchmark's flags. Any change to the message arithmetic,
-its order of evaluation or the trace format shows up here; refactors of
-the BP engine must keep these bytes.
+small synthetic runs, one per schedule, and of the disparity PGM, the
+printed score line and the float32 NCC cost volume of the first fixture of
+the two benchmark workloads, matched with the benchmark's flags. Any change
+to the NCC or message arithmetic, its order of evaluation or the trace
+format shows up here; refactors must keep these bytes.
 """
 
 import hashlib
 
+import numpy as np
 import pytest
 
+from stereo_bp import NccParams, build_cost_volume, make_stereogram
 from stereo_bp.cli import main
 
 GOLDEN = {
@@ -51,6 +53,14 @@ BENCHMARK = {
 }
 
 
+# sha256 of the cost volume of those fixtures, built with their --max-disp
+# and --window, as label-major (L, H, W) float32 bytes: the NCC bits alone.
+COST_VOLUME = {
+    "rds256-l20": "06ba2cb3b6bea7dcdf57937ff0828ebcb1256a56a2b93779f86f84e60ad0f3be",
+    "rds128-l64-full": "e24a08cb0adc6dac81ab3bd36a455f0d2c78955444f533320166b644cbc67b03",
+}
+
+
 def _sha(path):
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
@@ -86,3 +96,15 @@ def test_benchmark_fixture_matches_recorded_hashes(tmp_path, capsys, name):
     score = capsys.readouterr().out
     assert _sha(out) == disp_sha
     assert hashlib.sha256(score.encode()).hexdigest() == score_sha
+
+
+@pytest.mark.parametrize("name", sorted(COST_VOLUME))
+def test_benchmark_cost_volume_matches_recorded_hash(name):
+    (size, shift, seed, _), flags, _, _ = BENCHMARK[name]
+    levels = int(flags[flags.index("--max-disp") + 1])
+    radius = int(flags[flags.index("--window") + 1])
+    left, right, _ = make_stereogram(size, size, shift, seed)
+    vol = build_cost_volume(left, right, levels, NccParams(window_radius=radius))
+    planes = vol.costs.transpose(2, 0, 1)
+    assert planes.dtype == np.float32 and planes.flags.c_contiguous
+    assert hashlib.sha256(planes.tobytes()).hexdigest() == COST_VOLUME[name]

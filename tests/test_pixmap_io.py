@@ -98,3 +98,27 @@ def test_invalid_encodes_as_zero(tmp_path):
     path = tmp_path / "inv.pgm"
     write_pgm(dm, path)
     assert read_pgm(path).samples.tolist() == [[0, 16]]
+
+
+@pytest.mark.parametrize("samples", [
+    [[300, -1], [2, 5]],
+    [[0, 256]],
+    [[-1, 5]],
+    [[2.7, 5]],
+    [[float("nan"), 1]],
+    [[float("inf"), 1]],
+    np.array([[1, 1000]], dtype=np.int64),
+])
+def test_gray_image_rejects_samples_outside_uint8(samples):
+    # once stored as uint8, 300 would read 44, -1 255 and 2.7 2
+    with pytest.raises(ValueError, match=r"integers in \[0, 255\]"):
+        GrayImage(samples)
+
+
+def test_gray_image_keeps_uint8_and_converts_integral_values():
+    raw = np.array([[0, 7], [128, 255]], dtype=np.uint8)
+    assert GrayImage(raw).samples is raw
+    for samples in ([[0, 7], [128, 255]], raw.astype(np.float64), raw.astype(np.int64)):
+        got = GrayImage(samples).samples
+        assert got.dtype == np.uint8
+        assert np.array_equal(got, raw)
