@@ -18,8 +18,7 @@ Costs and messages keep their (H, W, L) and (4, H, W, L) shapes but are
 stored label-major, so every step works on whole (H, W) planes, one per
 label: the min-convolution runs along the label axis plane by plane, and a
 sweep in which every pixel is active reads and writes shifted slices of
-the planes. Any other sweep gathers its active pixels into (L, n) columns
-and sends each pair of opposite directions through one kernel call.
+the planes. Any other sweep gathers its active pixels into (L, n) columns.
 
 A dense sweep and the final argmin hold no temporary the size of a whole
 (L, H, W) frame: they go one strip of rows at a time, one slot's batch of
@@ -27,8 +26,13 @@ a strip about _STRIP_BYTES. A strip reads only its own rows, and its
 messages reach at most one row beyond it, into the first row of the next
 strip; that row is held until the next strip is built, so every message
 still comes from the field as it stood before the sweep. A gathered sweep
-takes its belief one slot at a time and builds one pair of opposite slots
-at a time, so it holds about four (L, n) sets of columns for n senders.
+goes one chunk of senders at a time, in ascending flat order, a chunk's
+(L, m) batch about _STRIP_BYTES: it takes the chunk's four incoming slots
+once, as one label-major (L, 4, m) snapshot, builds each slot's message
+over the column of what came from its receiver, and sends all four
+through one kernel call, so it holds about six (L, m) sets of columns.
+Only messages to the right or down can reach a sender of a later chunk;
+each is held until that chunk has taken its snapshot.
 
 The per-sweep trace costs what a sweep changed: a sweep leaves on the
 mask its largest message change and the pixels whose incoming messages
@@ -215,8 +219,12 @@ def sweep(volume, fld, mask, config):
     first row of the next strip. So that row is held until the next strip
     is built, and every message still comes from the field as it stood
     before the sweep; the rest land in the strip or the rows above it,
-    which no later strip reads. Otherwise the active senders are gathered
-    into (L, n) columns. Both give the same bits."""
+    which no later strip reads. Otherwise the active senders go in
+    chunks, in ascending flat order, each through one kernel call from
+    one snapshot of its four incoming slots; a message to the right or
+    down, the only kind that can reach a later chunk, is held until the
+    chunk of its receiver has taken its snapshot. Both give the same
+    bits."""
     return _sweep(volume, fld, mask, config, dense=bool(mask.active.all()))
 
 
@@ -229,15 +237,27 @@ def _sweep(volume, fld, mask, config, dense):
     msgs = fld.msgs.transpose(0, 3, 1, 2)  # (4, L, H, W)
     h, w = fld.height, fld.width
     active = mask.active
-
-    # a sender's outgoing change is the most any slot it writes moves;
-    # a receiver's incoming change, the most any of its slots moves
-    out_delta = np.zeros((h, w))
-    incoming_delta = np.zeros((h, w))
+    grown = np.zeros((h, w), dtype=bool)  # the next active set
+    mask.changed[...] = False
+    mask.max_delta = 0.0
+    # compared in float64, as float32(0.01) is below 0.01
+    epsilon = np.float64(config.epsilon)
+    # a dense sweep indexes the frames by (rows, columns) slices, a
+    # gathered one their flat views by flat indices
+    frames = (grown, mask.changed) if dense else (grown.reshape(-1), mask.changed.reshape(-1))
 
     def record(src, dst, delta):
-        out_delta[src] = np.maximum(out_delta[src], delta)
-        incoming_delta[dst] = np.maximum(incoming_delta[dst], delta)
+        """Keep a pixel active while a message out of it or into it moves,
+        and by at least epsilon: at epsilon 0 a pixel none of whose messages
+        moved would rebuild them bit for bit from unchanged inputs, so
+        skipping it changes no message. A belief is data plus incoming
+        messages, so it changed where a message into it moved at all."""
+        nxt, changed = frames
+        moved = delta >= epsilon if epsilon else delta > 0
+        nxt[src] |= moved
+        nxt[dst] |= moved
+        changed[dst] |= delta > 0
+        mask.max_delta = max(mask.max_delta, float(delta.max(initial=0)))
 
     if dense:
         costs = volume.costs.transpose(2, 0, 1)
@@ -285,54 +305,61 @@ def _sweep(volume, fld, mask, config, dense):
             write(ready)
         write(held)
     else:
-        ys, xs = np.nonzero(active)
-        flat = ys * w + xs
         costs, planes = _planes(volume, fld)
-        base = _gather(costs, planes, flat)
+        senders = np.flatnonzero(active)
+        size = max(1, _STRIP_BYTES // (fld.levels * costs.itemsize))
 
-        def send(pair):
-            """Build both slots of `pair` from the senders' columns, through
-            one kernel call, then write them."""
-            routes = []
-            for slot in pair:
-                back, dy, dx = _SENDS[slot]
-                qy, qx = ys + dy, xs + dx
-                has = (qy >= 0) & (qy < h) & (qx >= 0) & (qx < w)
-                routes.append((slot, back, has, (ys[has], xs[has]), (qy[has], qx[has])))
-            batch, parts = _sections(
-                fld.levels, [np.count_nonzero(has) for _, _, has, _, _ in routes], base.dtype)
-            for (slot, back, has, _, _), part in zip(routes, parts):
-                np.compress(has, base, axis=1, out=part)
-                part -= np.take(planes[back], flat[has], axis=1)
-            _minconv_truncated_linear(batch, params.slope, params.truncation)
-            # each slot's receivers are one column index into its plane
-            for (slot, _, _, src, dst), part in zip(routes, parts):
-                cols = dst[0] * w + dst[1]
-                record(src, dst, _moved(np.take(planes[slot], cols, axis=1), part))
-                for plane, new in zip(planes[slot], part):
-                    plane[cols] = new
+        def chunk(flat):
+            """(slot, senders, receivers, messages) batches of the senders at
+            flat indices `flat`, all through one kernel call: their four
+            incoming columns are taken once, label-major, and each slot's
+            message is built over the column of what came from its receiver."""
+            snap = np.empty((fld.levels, 4, flat.size), dtype=np.result_type(costs, planes))
+            for plane, column in zip(planes, snap.transpose(1, 0, 2)):
+                column[...] = np.take(plane, flat, axis=1)
+            base = _belief(np.take(costs, flat, axis=1), snap.transpose(1, 0, 2))
+            for back, _, _ in _SENDS.values():
+                np.subtract(base, snap[:, back], out=snap[:, back])
+            del base
+            _minconv_truncated_linear(snap.reshape(fld.levels, -1), params.slope, params.truncation)
+            ys, xs = np.divmod(flat, w)
+            edges = {FROM_LEFT: xs == w - 1, FROM_RIGHT: xs == 0,
+                     FROM_UP: ys == h - 1, FROM_DOWN: ys == 0}
+            batches = []
+            for slot, (back, dy, dx) in _SENDS.items():
+                src, msg, edge = flat, snap[:, back], edges[slot]
+                if edge.any():  # senders with no receiver this way
+                    src, msg = flat[~edge], np.compress(~edge, msg, axis=1)
+                batches.append((slot, src, src + (dy * w + dx), msg))
+            return batches
 
-        # opposite slots read each other (a message leaves out what came
-        # from its receiver), so both of a pair are built before either is
-        # written, and one pair's columns are dropped before the next's
-        send((FROM_LEFT, FROM_RIGHT))
-        send((FROM_UP, FROM_DOWN))
+        def write(batches, limit):
+            """Store the messages of each batch whose receivers lie before
+            flat index `limit`; return the rest, copied out."""
+            held = []
+            for slot, src, dst, msg in batches:
+                cut = np.searchsorted(dst, limit)
+                if cut < dst.size:
+                    held.append((slot, src[cut:], dst[cut:], msg[:, cut:].copy()))
+                    src, dst, msg = src[:cut], dst[:cut], msg[:, :cut]
+                if cut:
+                    record(src, dst, _moved(np.take(planes[slot], dst, axis=1), msg))
+                    for plane, new in zip(planes[slot], msg):
+                        plane[dst] = new
+            return held
+
+        # chunks go in ascending flat order, so only messages to the right
+        # or down can land on a sender of a later chunk: each is held until
+        # the chunk of its receiver has taken its snapshot
+        held = []
+        for start in range(0, senders.size, size):
+            stop = start + size
+            limit = senders[stop] if stop < senders.size else h * w
+            held = write(held + chunk(senders[start:stop]), limit)
         if not np.may_share_memory(planes, msgs):  # `_planes` copied them
             msgs[...] = planes.reshape(msgs.shape)
 
-    # every message moved is some sender's, so this is the sweep's largest
-    mask.max_delta = float(out_delta.max())
-
-    def moved(delta):
-        return (delta > 0) & (delta >= config.epsilon)
-
-    # a pixel stays active while a message out of it or into it moves, and
-    # by at least epsilon. One that sent nothing has out_delta 0. At
-    # epsilon 0 a pixel none of whose messages moved would rebuild them bit
-    # for bit from unchanged inputs, so skipping it changes no message
-    mask.active = moved(out_delta) | moved(incoming_delta)
-    # a belief is data plus incoming messages, so only these moved
-    np.greater(incoming_delta, 0, out=mask.changed)
+    mask.active = grown
     return int(np.count_nonzero(active))
 
 

@@ -7,8 +7,9 @@
   a time. Neighbours come from this module's own `STEPS` and `BACK`
   tables, not from the sweep's, so a wrong slot in either shows up as a
   disagreement.
-- `scheduled_bp`: the same, but with the epsilon schedule: only active
-  senders are recomputed, and the active set is rebuilt after each sweep.
+- `scheduled_sweep` and `scheduled_bp`: the same, but with the epsilon
+  schedule: only active senders are recomputed, and the active set is
+  rebuilt after each sweep.
 - `exact_map_chain`, `exact_map_grid_small`: exact MAP on a chain
   (Viterbi) and on a tiny grid (exhaustive search).
 
@@ -103,44 +104,52 @@ def jacobi_bp(volume, sweeps, params):
     return fld
 
 
-def scheduled_bp(volume, sweeps, params, epsilon):
-    """Up to `sweeps` sweeps from zero messages with the epsilon schedule.
-    Each sweep recomputes, with `update_message` and from a copy of the
-    field as it stood before the sweep, every message sent by an active
-    pixel. A change "moves" when it is > 0 and >= epsilon. A sender stays
-    active iff the largest change among the messages it wrote moves; a
-    pixel becomes active iff any incoming message written to it moves.
-    Every pixel starts active, and the run stops once none is; at epsilon
-    0 that is an exact fixed point.
+def scheduled_sweep(volume, fld, active, params, epsilon):
+    """One sweep of `scheduled_bp`, in place on `fld`: recompute, with
+    `update_message` and from a copy of the field as it stood before the
+    sweep, every message sent by an `active` pixel. A change "moves" when
+    it is > 0 and >= epsilon, compared in float64. A sender stays active
+    iff the largest change among the messages it wrote moves; a pixel
+    becomes active iff any incoming message written to it moves.
 
-    Returns (MessageField, active masks after each sweep, pixel updates)."""
+    Returns (the next active mask, the pixels some incoming message of
+    which changed at all, the largest change, pixel updates)."""
     def moved(change):
         return (change > 0) & (change >= epsilon)
 
     h, w = volume.height, volume.width
-    fld = MessageField(h, w, volume.levels)
-    active = np.ones((h, w), dtype=bool)
+    before = MessageField(h, w, volume.levels)
+    before.msgs = fld.msgs.copy()
+    sent = np.zeros((h, w))  # largest change among a sender's messages
+    received = np.zeros((h, w))  # largest change among a receiver's
+    for y in range(h):
+        for x in range(w):
+            if not active[y, x]:
+                continue
+            for direction, (dx, dy) in STEPS.items():
+                qx, qy = x + dx, y + dy
+                if not (0 <= qx < w and 0 <= qy < h):
+                    continue
+                msg = update_message(x, y, direction, volume, before, params)
+                change = np.abs(msg - before.msgs[direction, qy, qx]).max()
+                fld.msgs[direction, qy, qx] = msg
+                sent[y, x] = max(sent[y, x], change)
+                received[qy, qx] = max(received[qy, qx], change)
+    return moved(sent) | moved(received), received > 0, float(sent.max()), int(active.sum())
+
+
+def scheduled_bp(volume, sweeps, params, epsilon):
+    """Up to `sweeps` `scheduled_sweep`s from zero messages. Every pixel
+    starts active, and the run stops once none is; at epsilon 0 that is an
+    exact fixed point.
+
+    Returns (MessageField, active masks after each sweep, pixel updates)."""
+    fld = MessageField(volume.height, volume.width, volume.levels)
+    active = np.ones((volume.height, volume.width), dtype=bool)
     masks, updates = [], 0
     for _ in range(sweeps):
-        before = MessageField(h, w, volume.levels)
-        before.msgs = fld.msgs.copy()
-        sent = np.zeros((h, w))  # largest change among a sender's messages
-        received = np.zeros((h, w))  # largest change among a receiver's
-        for y in range(h):
-            for x in range(w):
-                if not active[y, x]:
-                    continue
-                updates += 1
-                for direction, (dx, dy) in STEPS.items():
-                    qx, qy = x + dx, y + dy
-                    if not (0 <= qx < w and 0 <= qy < h):
-                        continue
-                    msg = update_message(x, y, direction, volume, before, params)
-                    change = np.abs(msg - before.msgs[direction, qy, qx]).max()
-                    fld.msgs[direction, qy, qx] = msg
-                    sent[y, x] = max(sent[y, x], change)
-                    received[qy, qx] = max(received[qy, qx], change)
-        active = moved(sent) | moved(received)
+        active, _, _, updated = scheduled_sweep(volume, fld, active, params, epsilon)
+        updates += updated
         masks.append(active)
         if not active.any():
             break

@@ -8,6 +8,7 @@ from bp_reference import (
     exact_map_chain,
     jacobi_bp,
     scheduled_bp,
+    scheduled_sweep,
     smoothness_cost,
     update_message,
 )
@@ -433,6 +434,108 @@ class TestStrips:
         frame = levels * h * w * 4
         assert mask.active.any() and labels.labels.shape == (h, w)
         assert swept < frame and extracted < frame
+
+    def test_gathered_sweep_holds_no_whole_frame(self, monkeypatch):
+        # all pixels but one active: gathered in chunks of 16 rows' worth
+        # of senders, where one snapshot of all of them would hold four
+        # whole (L, H, W) frames
+        h, w, levels = 256, 64, 32
+        rng = np.random.default_rng(43)
+        vol = CostVolume(rng.uniform(0, 2, size=(h, w, levels)).astype(np.float32))
+        fld = MessageField(h, w, levels, np.float32)
+        fld.msgs[...] = rng.uniform(0, 2, size=fld.msgs.shape).astype(np.float32)
+        _strip_height(monkeypatch, vol, 16)
+        mask = ConvergenceMask(h, w)
+        mask.active[100, 30] = False
+        tracemalloc.start()
+        try:
+            updated = sweep(vol, fld, mask, BpConfig(epsilon=0.0))
+            swept = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert updated == h * w - 1 and mask.active.any()
+        assert swept < levels * h * w * 4
+
+
+def _chunk_senders(monkeypatch, volume, senders):
+    """Set the batch budget so that a gathered sweep of `volume` takes
+    `senders` senders per chunk."""
+    monkeypatch.setattr(bp_engine, "_STRIP_BYTES", senders * volume.levels * volume.costs.itemsize)
+
+
+# shapes whose rows are wider than a chunk, so that a message sent down
+# waits several chunks for its receiver's; then the edge lines
+CHUNK_SHAPES = [(7, 9, 5), (8, 11, 6), (1, 9, 4), (9, 1, 4)]
+
+
+class TestChunks:
+    @pytest.mark.parametrize("epsilon", [0.0, 1e-3])
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("shape", CHUNK_SHAPES)
+    def test_chunks_match_shifted_slices(self, monkeypatch, shape, dtype, epsilon):
+        rng = np.random.default_rng(44)
+        vol = CostVolume(rng.uniform(0, 2, size=shape).astype(dtype))
+        start = rng.uniform(0, 2, size=(4, *shape)).astype(dtype)
+        cfg = BpConfig(epsilon=epsilon, smoothness=SmoothnessParams(0.7, 1.5))
+
+        def run(dense):
+            fld = MessageField(*shape, dtype)
+            fld.msgs[...] = start
+            rows = []
+            for _ in range(3):  # each sweep from an all-true mask
+                mask = ConvergenceMask(*shape[:2])
+                updated = _sweep(vol, fld, mask, cfg, dense=dense)
+                rows.append((fld.msgs.copy(), mask.active, mask.changed.copy(),
+                             mask.max_delta, updated))
+            return rows
+
+        want = run(dense=True)
+        for senders in (1, 2, 3):
+            _chunk_senders(monkeypatch, vol, senders)
+            for (m1, a1, c1, d1, n1), (m2, a2, c2, d2, n2) in zip(want, run(dense=False)):
+                assert np.array_equal(m1, m2)
+                assert np.array_equal(a1, a2) and np.array_equal(c1, c2)
+                assert d1 == d2 and n1 == n2
+
+    @pytest.mark.parametrize("epsilon", [0.0, 1e-3])
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("shape", CHUNK_SHAPES)
+    def test_chunks_match_the_scalar_reference(self, monkeypatch, shape, dtype, epsilon):
+        # sweeps from the partial masks of the scheduled reference run
+        vol = CostVolume(np.random.default_rng(48).uniform(0, 3, size=shape).astype(dtype))
+        p = SmoothnessParams()
+        masks = [np.ones(shape[:2], dtype=bool)] + scheduled_bp(vol, 12, p, epsilon)[1][:-1]
+        assert any(0 < m.sum() < m.size for m in masks)
+        ref = MessageField(*shape, dtype)
+        want = [(*scheduled_sweep(vol, ref, m, p, epsilon), ref.msgs.copy()) for m in masks]
+        cfg = BpConfig(epsilon=epsilon, smoothness=p)
+        for senders in (1, 2, 3):
+            _chunk_senders(monkeypatch, vol, senders)
+            fld = MessageField(*shape, dtype)
+            for active, (w_active, w_changed, w_delta, w_updated, w_msgs) in zip(masks, want):
+                mask = ConvergenceMask(*shape[:2])
+                mask.active = active.copy()
+                assert _sweep(vol, fld, mask, cfg, dense=False) == w_updated
+                assert np.array_equal(fld.msgs, w_msgs)
+                assert np.array_equal(mask.active, w_active)
+                assert np.array_equal(mask.changed, w_changed)
+                assert mask.max_delta == w_delta
+
+    @pytest.mark.parametrize("dense", [True, False])
+    def test_epsilon_compared_in_float64(self, dense):
+        # the one message that moves, from (0, 0), moves by float32(0.01),
+        # which is below 0.01 though a float32 comparison would say not
+        step = np.float32(0.01)
+        assert float(step) < 0.01 and (np.array([step]) >= 0.01).all()
+        vol = CostVolume(np.array([[[0, step], [0, 0]]], dtype=np.float32))
+        fld = MessageField(1, 2, 2, np.float32)
+        mask = ConvergenceMask(1, 2)
+        cfg = BpConfig(epsilon=0.01, smoothness=SmoothnessParams(1.0, 2.0))
+        assert _sweep(vol, fld, mask, cfg, dense=dense) == 2
+        assert fld.msgs[FROM_LEFT, 0, 1].tolist() == [0, step]
+        assert mask.max_delta == float(step)
+        assert mask.changed.tolist() == [[False, True]]
+        assert not mask.active.any()
 
 
 def _reference_trace(volume, config, sweeps):
