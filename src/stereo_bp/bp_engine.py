@@ -15,24 +15,21 @@ recomputes every pixel every sweep, and a run stops early only at an
 exact fixed point.
 
 Costs and messages keep their (H, W, L) and (4, H, W, L) shapes but are
-stored label-major, so every step works on whole (H, W) planes, one per
-label: the min-convolution runs along the label axis plane by plane, and a
-sweep in which every pixel is active reads and writes shifted slices of
-the planes. Any other sweep gathers its active pixels into (L, n) columns.
+stored label-major, so every step works on whole label planes: the
+min-convolution runs along the label axis plane by plane.
 
-A dense sweep and the final argmin hold no temporary the size of a whole
-(L, H, W) frame: they go one strip of rows at a time, one slot's batch of
-a strip about _STRIP_BYTES. A strip reads only its own rows, and its
-messages reach at most one row beyond it, into the first row of the next
-strip; that row is held until the next strip is built, so every message
-still comes from the field as it stood before the sweep. A gathered sweep
-goes one chunk of senders at a time, in ascending flat order, a chunk's
-(L, m) batch about _STRIP_BYTES: it takes the chunk's four incoming slots
-once, as one label-major (L, 4, m) snapshot, builds each slot's message
-over the column of what came from its receiver, and sends all four
-through one kernel call, so it holds about six (L, m) sets of columns.
-Only messages to the right or down can reach a sender of a later chunk;
-each is held until that chunk has taken its snapshot.
+A sweep goes through its active senders in ascending flat order, in
+chunks of m senders whose (L, m) batch holds about _STRIP_BYTES. It reads
+a chunk's four incoming slots once: through views of the planes when the
+senders run without a gap, as every chunk of a sweep with every pixel
+active does, else gathered into one label-major (L, 4, m) snapshot. It
+builds each slot's message in that slot's column of the snapshot and
+sends all four through one kernel call, so it holds about six (L, m) sets
+of columns and no temporary the size of a whole (L, H, W) frame. Only
+messages to the right or down can reach a sender of a later chunk; each
+is held until that chunk has read its slots, so every message still
+comes from the field as it stood before the sweep. The final argmin goes
+through the same chunks.
 
 The per-sweep trace costs what a sweep changed: a sweep leaves on the
 mask its largest message change and the pixels whose incoming messages
@@ -61,10 +58,10 @@ _SENDS = {
     FROM_DOWN: (FROM_UP, -1, 0),
 }
 
-# Dense sweeps and the final argmin work one strip of rows at a time: one
-# slot's label-major batch of a strip holds about this many bytes. A dense
-# sweep holds a strip's belief and its four batches at once; smaller strips
-# cost more numpy calls than they save.
+# Sweeps and the final argmin work one chunk of pixels at a time: a
+# chunk's label-major (L, m) batch holds about this many bytes. A sweep
+# holds about six batches of a chunk at once; smaller chunks cost more
+# numpy calls than they save.
 _STRIP_BYTES = 512 * 1024
 
 
@@ -94,32 +91,35 @@ class BpConfig:
 
 
 class MessageField:
-    """Incoming messages as a (4, H, W, L) array `msgs`: four direction
-    slots per pixel, each a length-L vector, stored label-major in the
-    given dtype (float64 unless told otherwise; the pipeline passes the
-    cost volume's dtype, float32 for a built volume). Any (4, H, W, L)
-    array may be assigned to `msgs`; another memory layout gives the same
-    results, only more slowly.
+    """Incoming messages: four direction slots per pixel, each a length-L
+    vector, in the given dtype (float64 unless told otherwise; the pipeline
+    passes the cost volume's dtype, float32 for a built volume). They are
+    stored label-major in `planes`, a C-contiguous (4, L, H, W) array, so a
+    sweep works on whole (H, W) planes; `msgs` views that storage as
+    (4, H, W, L) and writes through to it, as in `fld.msgs[...] = x`.
 
-    Slots on edges arriving from outside the image stay identically zero.
+    No sweep writes a slot on an edge arriving from outside the image, so
+    those stay zero.
     """
 
     def __init__(self, height, width, levels, dtype=np.float64):
-        # Stored label-major: msgs.transpose(0, 3, 1, 2) is a C-contiguous
-        # (4, L, H, W) array, so the sweep works on whole (H, W) planes.
-        self.msgs = np.zeros((4, levels, height, width), dtype=dtype).transpose(0, 2, 3, 1)
+        self.planes = np.zeros((4, levels, height, width), dtype=dtype)
+
+    @property
+    def msgs(self):
+        return self.planes.transpose(0, 2, 3, 1)
 
     @property
     def height(self):
-        return self.msgs.shape[1]
+        return self.planes.shape[2]
 
     @property
     def width(self):
-        return self.msgs.shape[2]
+        return self.planes.shape[3]
 
     @property
     def levels(self):
-        return self.msgs.shape[3]
+        return self.planes.shape[1]
 
 
 class ConvergenceMask:
@@ -165,39 +165,39 @@ def _belief(costs, msgs):
 
 
 def _planes(volume, fld):
-    """Costs as (L, H*W) and messages as (4, L, H*W) label-major planes:
-    views of the pipeline's storage; copies for a field whose layout numpy
-    cannot flatten in place."""
+    """Costs as (L, H*W) and messages as (4, L, H*W) label-major planes,
+    views of their storage."""
     return (volume.costs.transpose(2, 0, 1).reshape(volume.levels, -1),
-            fld.msgs.transpose(0, 3, 1, 2).reshape(4, fld.levels, -1))
+            fld.planes.reshape(4, fld.levels, -1))
 
 
-def _gather(costs, msgs, flat):
-    """The (L, n) belief columns of the pixels at flat indices `flat` of
-    `_planes`, taking one slot's columns at a time."""
-    return _belief(np.take(costs, flat, axis=1), (np.take(m, flat, axis=1) for m in msgs))
+def _chunks(volume, flat):
+    """Ascending flat indices `flat` in chunks of m: as many as keep one
+    (L, m) batch of the volume's dtype within _STRIP_BYTES, and at least
+    one."""
+    m = max(1, _STRIP_BYTES // (volume.levels * volume.costs.itemsize))
+    return [flat[i:i + m] for i in range(0, flat.size, m)]
 
 
-def _strip_rows(volume):
-    """Rows per strip: as many as keep one (L, rows, W) batch of the
-    volume's dtype within _STRIP_BYTES, and at least one."""
-    row = volume.levels * volume.width * volume.costs.itemsize
-    return max(1, _STRIP_BYTES // row)
+def _run(flat):
+    """Ascending flat indices as a slice when they run without a gap, so
+    that their columns are read and written through views; else as they
+    are."""
+    if flat.size and flat[-1] - flat[0] == flat.size - 1:
+        return slice(flat[0], flat[-1] + 1)
+    return flat
 
 
-def _span(lo, hi, n, d):
-    """The senders in [lo, hi) of an axis of length n whose receivers, d
-    away along it, lie inside it; as a slice, and the receivers' slice."""
-    a, b = max(lo, -d), min(hi, n - d)
-    return slice(a, b), slice(a + d, b + d)
+def _cols(planes, at, out=None):
+    """The columns `at` of label-major planes, `at` as `_run` gives it: a
+    view for a slice, for indices a copy gathered into `out` if given."""
+    return planes[..., at] if isinstance(at, slice) else np.take(planes, at, axis=-1, out=out)
 
 
-def _sections(levels, sizes, dtype):
-    """One (L, sum(sizes)) kernel input, and its (L, size) sections. The
-    kernel works column by column, so batching sections changes no bit."""
-    ends = np.cumsum(sizes)
-    batch = np.empty((levels, ends[-1]), dtype=dtype)
-    return batch, np.split(batch, ends[:-1], axis=1)
+def _gather(costs, msgs, at):
+    """The (L, n) belief columns of the pixels `at` of `_planes`, `at` as
+    `_run` gives it, taking one slot's columns at a time."""
+    return _belief(_cols(costs, at), (_cols(m, at) for m in msgs))
 
 
 def _moved(old, new):
@@ -212,39 +212,27 @@ def sweep(volume, fld, mask, config):
     outgoing messages is computed from the field as it stood before the
     sweep. Returns the number of pixels updated.
 
-    When every pixel is active, the senders go top to bottom in strips of
-    whole rows, each slot's senders and receivers two shifted slices of
-    the strip's label-major (L, rows, W) planes. A strip's messages reach
-    at most one row beyond it: those its last row sends down, into the
-    first row of the next strip. So that row is held until the next strip
-    is built, and every message still comes from the field as it stood
-    before the sweep; the rest land in the strip or the rows above it,
-    which no later strip reads. Otherwise the active senders go in
-    chunks, in ascending flat order, each through one kernel call from
-    one snapshot of its four incoming slots; a message to the right or
-    down, the only kind that can reach a later chunk, is held until the
-    chunk of its receiver has taken its snapshot. Both give the same
-    bits."""
-    return _sweep(volume, fld, mask, config, dense=bool(mask.active.all()))
-
-
-def _sweep(volume, fld, mask, config, dense):
-    """`sweep` by shifted slices of row strips (`dense`, which needs every
-    pixel active) or by gathered columns."""
+    The active senders go in chunks, in ascending flat order, each
+    through one kernel call from one reading of its four incoming slots,
+    through views of the planes for a chunk without gaps. A message to the
+    right or down, the only kind that can reach a later chunk, is held
+    until the chunk of its receiver has read its slots. The flat
+    neighbour of a sender on the left or right edge is the far end of the
+    previous or next row, whose slot from that side arrives from outside
+    the image: the sender resends that slot its own value, so no such slot
+    changes and no sender need be cut from the middle of a chunk."""
     if (fld.height, fld.width, fld.levels) != (volume.height, volume.width, volume.levels):
         raise ValueError("message field and cost volume dimensions disagree")
     params = config.smoothness
-    msgs = fld.msgs.transpose(0, 3, 1, 2)  # (4, L, H, W)
+    costs, planes = _planes(volume, fld)
     h, w = fld.height, fld.width
     active = mask.active
-    grown = np.zeros((h, w), dtype=bool)  # the next active set
-    mask.changed[...] = False
+    grown = np.zeros(h * w, dtype=bool)  # the next active set
+    changed = mask.changed.reshape(-1)
+    changed[...] = False
     mask.max_delta = 0.0
     # compared in float64, as float32(0.01) is below 0.01
     epsilon = np.float64(config.epsilon)
-    # a dense sweep indexes the frames by (rows, columns) slices, a
-    # gathered one their flat views by flat indices
-    frames = (grown, mask.changed) if dense else (grown.reshape(-1), mask.changed.reshape(-1))
 
     def record(src, dst, delta):
         """Keep a pixel active while a message out of it or into it moves,
@@ -252,114 +240,65 @@ def _sweep(volume, fld, mask, config, dense):
         moved would rebuild them bit for bit from unchanged inputs, so
         skipping it changes no message. A belief is data plus incoming
         messages, so it changed where a message into it moved at all."""
-        nxt, changed = frames
         moved = delta >= epsilon if epsilon else delta > 0
-        nxt[src] |= moved
-        nxt[dst] |= moved
+        grown[src] |= moved
+        grown[dst] |= moved
         changed[dst] |= delta > 0
         mask.max_delta = max(mask.max_delta, float(delta.max(initial=0)))
 
-    if dense:
-        costs = volume.costs.transpose(2, 0, 1)
+    def chunk(flat):
+        """(slot, senders, receivers, messages) batches of the senders at
+        flat indices `flat`, all through one kernel call: their four
+        incoming columns are read once, label-major, into one snapshot
+        unless they are views, and each slot's message is built over its
+        column of the snapshot. Senders whose flat receiver lies outside
+        the frame, a prefix or a suffix of the chunk, are cut off."""
+        at = _run(flat)
+        snap = np.empty((fld.levels, 4, flat.size), dtype=np.result_type(costs, planes))
+        incoming = [_cols(plane, at, out=snap[:, k]) for k, plane in enumerate(planes)]
+        base = _belief(_cols(costs, at), incoming)
+        for back, _, _ in _SENDS.values():
+            np.subtract(base, incoming[back], out=snap[:, back])
+        del base, incoming
+        _minconv_truncated_linear(snap.reshape(fld.levels, -1), params.slope, params.truncation)
+        column = flat % w
+        batches = []
+        for slot, (back, dy, dx) in _SENDS.items():
+            step = dy * w + dx
+            lo, hi = np.searchsorted(flat, (-step, h * w - step))
+            src, msg = flat[lo:hi], snap[:, back, lo:hi]
+            if dx:  # senders on the edge dx points past resend the slot its value
+                wraps = np.flatnonzero(column[lo:hi] == (w - 1 if dx > 0 else 0))
+                msg[:, wraps] = np.take(planes[slot], src[wraps] + step, axis=1)
+            batches.append((slot, src, src + step, msg))
+        return batches
 
-        def strip(top, bottom):
-            """(slot, senders, receivers, messages) batches of the senders in
-            rows [top, bottom), all through one kernel call: data + all
-            incoming but what came from the receiver, min-convolved. The
-            last batch, copied out, holds the messages sent down from the
-            last row: the only ones that leave the strip."""
-            base = _belief(costs[:, top:bottom], msgs[:, :, top:bottom])
-            spans = [(slot, _span(top, bottom, h, dy), _span(0, w, w, dx))
-                     for slot, (_, dy, dx) in _SENDS.items() if slot != FROM_UP]
-            spans += [(FROM_UP, _span(a, b, h, 1), _span(0, w, w, 0))
-                      for a, b in ((top, bottom - 1), (bottom - 1, bottom))]
-            shapes = [(sy.stop - sy.start, sx.stop - sx.start) for _, (sy, _), (sx, _) in spans]
-            batch, parts = _sections(fld.levels, [r * c for r, c in shapes], base.dtype)
-            batches = []
-            for (slot, (sy, ry), (sx, rx)), part, shape in zip(spans, parts, shapes):
-                hq = part.reshape(fld.levels, *shape)
-                np.subtract(base[:, sy.start - top:sy.stop - top, sx],
-                            msgs[_SENDS[slot][0]][:, sy, sx], out=hq)
-                batches.append((slot, (sy, sx), (ry, rx), hq))
-            del base
-            _minconv_truncated_linear(batch, params.slope, params.truncation)
-            slot, src, dst, hq = batches.pop()
-            return batches + [(slot, src, dst, hq.copy())]
-
-        def write(batches):
-            """Store each batch through its receivers' planes, dropping it."""
-            while batches:
-                slot, src, dst, msg = batches.pop()
-                old = msgs[slot][:, dst[0], dst[1]]
-                record(src, dst, _moved(old, msg))
-                old[...] = msg
-
-        # the row a strip sends into the next is written once the next is
-        # built, from the field as it stood before the sweep; the rest of
-        # its messages land inside the strip or behind it, at once
-        rows, held = _strip_rows(volume), []
-        for top in range(0, h, rows):
-            ready = strip(top, min(top + rows, h))
-            write(held)
-            held = [ready.pop()]
-            write(ready)
-        write(held)
-    else:
-        costs, planes = _planes(volume, fld)
-        senders = np.flatnonzero(active)
-        size = max(1, _STRIP_BYTES // (fld.levels * costs.itemsize))
-
-        def chunk(flat):
-            """(slot, senders, receivers, messages) batches of the senders at
-            flat indices `flat`, all through one kernel call: their four
-            incoming columns are taken once, label-major, and each slot's
-            message is built over the column of what came from its receiver."""
-            snap = np.empty((fld.levels, 4, flat.size), dtype=np.result_type(costs, planes))
-            for plane, column in zip(planes, snap.transpose(1, 0, 2)):
-                column[...] = np.take(plane, flat, axis=1)
-            base = _belief(np.take(costs, flat, axis=1), snap.transpose(1, 0, 2))
-            for back, _, _ in _SENDS.values():
-                np.subtract(base, snap[:, back], out=snap[:, back])
-            del base
-            _minconv_truncated_linear(snap.reshape(fld.levels, -1), params.slope, params.truncation)
-            ys, xs = np.divmod(flat, w)
-            edges = {FROM_LEFT: xs == w - 1, FROM_RIGHT: xs == 0,
-                     FROM_UP: ys == h - 1, FROM_DOWN: ys == 0}
-            batches = []
-            for slot, (back, dy, dx) in _SENDS.items():
-                src, msg, edge = flat, snap[:, back], edges[slot]
-                if edge.any():  # senders with no receiver this way
-                    src, msg = flat[~edge], np.compress(~edge, msg, axis=1)
-                batches.append((slot, src, src + (dy * w + dx), msg))
-            return batches
-
-        def write(batches, limit):
-            """Store the messages of each batch whose receivers lie before
-            flat index `limit`; return the rest, copied out."""
-            held = []
-            for slot, src, dst, msg in batches:
-                cut = np.searchsorted(dst, limit)
-                if cut < dst.size:
-                    held.append((slot, src[cut:], dst[cut:], msg[:, cut:].copy()))
-                    src, dst, msg = src[:cut], dst[:cut], msg[:, :cut]
-                if cut:
-                    record(src, dst, _moved(np.take(planes[slot], dst, axis=1), msg))
-                    for plane, new in zip(planes[slot], msg):
-                        plane[dst] = new
-            return held
-
-        # chunks go in ascending flat order, so only messages to the right
-        # or down can land on a sender of a later chunk: each is held until
-        # the chunk of its receiver has taken its snapshot
+    def write(batches, limit):
+        """Store the messages of each batch whose receivers lie before
+        flat index `limit`; return the rest, copied out."""
         held = []
-        for start in range(0, senders.size, size):
-            stop = start + size
-            limit = senders[stop] if stop < senders.size else h * w
-            held = write(held + chunk(senders[start:stop]), limit)
-        if not np.may_share_memory(planes, msgs):  # `_planes` copied them
-            msgs[...] = planes.reshape(msgs.shape)
+        for slot, src, dst, msg in batches:
+            cut = np.searchsorted(dst, limit)
+            if cut < dst.size:
+                held.append((slot, src[cut:], dst[cut:], msg[:, cut:].copy()))
+                src, dst, msg = src[:cut], dst[:cut], msg[:, :cut]
+            if not cut:
+                continue
+            at = _run(dst)
+            old = _cols(planes[slot], at)
+            record(_run(src), at, _moved(old, msg))
+            if isinstance(at, slice):
+                old[...] = msg
+            else:
+                for plane, new in zip(planes[slot], msg):
+                    plane[dst] = new
+        return held
 
-    mask.active = grown
+    chunks = _chunks(volume, np.flatnonzero(active))
+    held = []
+    for flat, limit in zip(chunks, [c[0] for c in chunks[1:]] + [h * w]):
+        held = write(held + chunk(flat), limit)
+    mask.active = grown.reshape(h, w)
     return int(np.count_nonzero(active))
 
 
@@ -403,19 +342,18 @@ def _argmin(belief):
 
 def _relabel(volume, fld, labels, changed):
     """Relabel the `changed` pixels in place, as `extract_disparity` would."""
-    flat = np.flatnonzero(changed)
-    np.put(labels, flat, _argmin(_gather(*_planes(volume, fld), flat)))
+    costs, msgs = _planes(volume, fld)
+    for flat in _chunks(volume, np.flatnonzero(changed)):
+        np.put(labels, flat, _argmin(_gather(costs, msgs, _run(flat))))
 
 
 def extract_disparity(volume, fld):
     """MAP labeling: per-pixel argmin of data cost plus all incoming
-    messages, ties toward smaller disparity. Taken strip by strip, as a
-    dense sweep goes, so no whole-frame belief is held."""
-    costs, msgs = volume.costs.transpose(2, 0, 1), fld.msgs.transpose(0, 3, 1, 2)
-    rows = _strip_rows(volume)
-    return DisparityMap(np.concatenate([
-        _argmin(_belief(costs[:, top:top + rows], msgs[:, :, top:top + rows]))
-        for top in range(0, volume.height, rows)]))
+    messages, ties toward smaller disparity. Taken chunk by chunk, as a
+    sweep goes, so no whole-frame belief is held."""
+    labels = np.empty((volume.height, volume.width), dtype=np.int32)
+    _relabel(volume, fld, labels, np.ones(labels.shape, dtype=bool))
+    return DisparityMap(labels)
 
 
 def labeling_energy(volume, disparity, params):

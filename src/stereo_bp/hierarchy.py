@@ -56,15 +56,13 @@ def lift_messages(coarse, fine_height, fine_width):
             f"coarse {coarse.width}x{coarse.height} is not the ceil-halving "
             f"of fine {fine_width}x{fine_height}"
         )
-    fine = MessageField(fine_height, fine_width, coarse.levels, coarse.msgs.dtype)
-    src = coarse.msgs.transpose(0, 3, 1, 2)  # label-major (4, L, h, w)
-    dst = fine.msgs.transpose(0, 3, 1, 2)
+    fine = MessageField(fine_height, fine_width, coarse.levels, coarse.planes.dtype)
     # the fine pixels at each (y % 2, x % 2) offset form a copy of the
-    # coarse grid, cut short at an odd edge
+    # coarse grid, cut short at an odd edge; both label-major (4, L, h, w)
     for oy in (0, 1):
         for ox in (0, 1):
-            part = dst[:, :, oy::2, ox::2]
-            part[...] = src[:, :, : part.shape[2], : part.shape[3]]
+            part = fine.planes[:, :, oy::2, ox::2]
+            part[...] = coarse.planes[:, :, : part.shape[2], : part.shape[3]]
     return fine
 
 

@@ -93,7 +93,7 @@ def jacobi_bp(volume, sweeps, params):
     fld = MessageField(h, w, volume.levels)
     for _ in range(sweeps):
         before = MessageField(h, w, volume.levels)
-        before.msgs = fld.msgs.copy()
+        before.msgs[...] = fld.msgs
         for direction, (dx, dy) in STEPS.items():
             for y in range(h):
                 for x in range(w):
@@ -118,8 +118,8 @@ def scheduled_sweep(volume, fld, active, params, epsilon):
         return (change > 0) & (change >= epsilon)
 
     h, w = volume.height, volume.width
-    before = MessageField(h, w, volume.levels)
-    before.msgs = fld.msgs.copy()
+    before = MessageField(h, w, volume.levels, fld.msgs.dtype)
+    before.msgs[...] = fld.msgs
     sent = np.zeros((h, w))  # largest change among a sender's messages
     received = np.zeros((h, w))  # largest change among a receiver's
     for y in range(h):

@@ -33,7 +33,6 @@ from stereo_bp.bp_engine import (
     MessageField,
     _argmin,
     _relabel,
-    _sweep,
     extract_disparity,
     run_bp,
     sweep,
@@ -107,7 +106,7 @@ class TestUpdateMessage:
         rng = np.random.default_rng(21)
         vol = CostVolume(rng.uniform(0, 5, size=(3, 3, 4)))
         fld = MessageField(3, 3, 4)
-        fld.msgs = rng.uniform(0, 2, size=fld.msgs.shape)
+        fld.msgs[...] = rng.uniform(0, 2, size=fld.msgs.shape)
         p = SmoothnessParams(0.8, 1.7)
         msg = update_message(1, 1, FROM_LEFT, vol, fld, p)
         incoming = fld.msgs[:, 1, 1].sum(axis=0) - fld.msgs[FROM_RIGHT, 1, 1]
@@ -195,9 +194,9 @@ class TestSweep:
         h, w, levels = 5, 6, 4
         vol = CostVolume(rng.uniform(0, 2, size=(h, w, levels)))
         fld = MessageField(h, w, levels)
-        fld.msgs = rng.uniform(0, 2, size=fld.msgs.shape)
+        fld.msgs[...] = rng.uniform(0, 2, size=fld.msgs.shape)
         before = MessageField(h, w, levels)
-        before.msgs = fld.msgs.copy()
+        before.msgs[...] = fld.msgs
         cfg = BpConfig(epsilon=0.0, smoothness=SmoothnessParams(0.7, 1.5))
         assert sweep(vol, fld, ConvergenceMask(h, w), cfg) == h * w
         for direction, (dx, dy) in _STEPS.items():
@@ -213,9 +212,9 @@ class TestSweep:
         h, w, levels = 6, 7, 3
         vol = CostVolume(rng.uniform(0, 2, size=(h, w, levels)))
         fld = MessageField(h, w, levels)
-        fld.msgs = rng.uniform(0, 2, size=fld.msgs.shape)
+        fld.msgs[...] = rng.uniform(0, 2, size=fld.msgs.shape)
         before = MessageField(h, w, levels)
-        before.msgs = fld.msgs.copy()
+        before.msgs[...] = fld.msgs
         mask = ConvergenceMask(h, w)
         mask.active[...] = False
         for y, x in [(0, 0), (2, 3), (5, 6), (3, 0)]:
@@ -299,7 +298,7 @@ class TestSchedule:
             assert np.array_equal(fld.msgs, jacobi_bp(vol, sweeps, p).msgs)
 
     def test_reference_exercises_partial_masks(self):
-        # the 8x8 cases above must reach the gathered path, and reactivate
+        # the 8x8 cases above must sweep partial masks, and reactivate
         h, w, levels, seed = SCHEDULE_CASES[0]
         vol = CostVolume(np.random.default_rng(seed).uniform(0, 1, size=(h, w, levels)))
         _, masks, _ = scheduled_bp(vol, 12, SmoothnessParams(), 1e-3)
@@ -310,44 +309,12 @@ class TestSchedule:
     @pytest.mark.parametrize("epsilon", [0.0, 1e-3])
     @pytest.mark.parametrize("shape", [(7, 9, 5), (1, 6, 3), (6, 1, 3), (1, 1, 2)])
     def test_gathered_path_agrees_with_shifted_slices(self, shape, epsilon):
+        # sweeps from all-true masks, from a random field, in one chunk
         rng = np.random.default_rng(33)
         vol = CostVolume(rng.uniform(0, 2, size=shape))
         start = rng.uniform(0, 2, size=(4, *shape))
         cfg = BpConfig(epsilon=epsilon, smoothness=SmoothnessParams(0.7, 1.5))
-        runs = []
-        for dense in (True, False):
-            fld = MessageField(*shape)
-            fld.msgs[...] = start
-            run = []
-            for _ in range(3):  # each sweep from an all-true mask
-                mask = ConvergenceMask(*shape[:2])
-                updated = _sweep(vol, fld, mask, cfg, dense=dense)
-                run.append((fld.msgs.copy(), mask.active, mask.changed,
-                            mask.max_delta, updated))
-            runs.append(run)
-        for (m1, a1, c1, d1, n1), (m2, a2, c2, d2, n2) in zip(*runs):
-            assert np.array_equal(m1, m2)
-            assert np.array_equal(a1, a2) and np.array_equal(c1, c2)
-            assert d1 == d2 and n1 == n2
-
-    @pytest.mark.parametrize("layout", [np.ascontiguousarray, np.asfortranarray])
-    @pytest.mark.parametrize("dense", [True, False])
-    def test_any_field_layout_gives_the_same_bits(self, layout, dense):
-        # a Fortran-ordered field cannot be flattened into (4, L, H*W)
-        # planes in place, so the gathered path writes a copy back
-        rng = np.random.default_rng(42)
-        vol = CostVolume(rng.uniform(0, 2, size=(7, 9, 5)))
-        start = rng.uniform(0, 2, size=(4, 7, 9, 5))
-        cfg = BpConfig(epsilon=1e-3, smoothness=SmoothnessParams(0.7, 1.5))
-        fields = [MessageField(7, 9, 5), MessageField(7, 9, 5)]
-        fields[0].msgs[...] = start
-        fields[1].msgs = layout(start)
-        flattened = bp_engine._planes(vol, fields[1])[1]
-        assert np.may_share_memory(flattened, fields[1].msgs) == (layout is np.ascontiguousarray)
-        for _ in range(3):
-            for fld in fields:
-                _sweep(vol, fld, ConvergenceMask(7, 9), cfg, dense=dense)
-            assert np.array_equal(fields[0].msgs, fields[1].msgs)
+        _sweeps_match_reference(vol, start, [np.ones(shape[:2], dtype=bool)] * 3, cfg)
 
     @pytest.mark.parametrize("epsilon", [0.0, 1e-3])
     def test_float32_paths_agree_and_stay_float32(self, epsilon):
@@ -355,30 +322,42 @@ class TestSchedule:
         vol = CostVolume(rng.uniform(0, 2, size=(7, 9, 5)).astype(np.float32))
         start = rng.uniform(0, 2, size=(4, 7, 9, 5)).astype(np.float32)
         cfg = BpConfig(epsilon=epsilon, smoothness=SmoothnessParams(0.7, 1.5))
-        runs = []
-        for dense in (True, False):
-            fld = MessageField(7, 9, 5, np.float32)
-            fld.msgs[...] = start
-            mask = ConvergenceMask(7, 9)
-            updated = _sweep(vol, fld, mask, cfg, dense=dense)
-            assert fld.msgs.dtype == np.float32
-            runs.append((fld.msgs, mask.active, mask.changed, mask.max_delta, updated))
-        (m1, a1, c1, d1, n1), (m2, a2, c2, d2, n2) = runs
-        assert np.array_equal(m1, m2)
-        assert np.array_equal(a1, a2) and np.array_equal(c1, c2)
-        assert d1 == d2 and n1 == n2
+        fld = _sweeps_match_reference(vol, start, [np.ones((7, 9), dtype=bool)], cfg)
+        assert fld.msgs.dtype == np.float32
 
 
-def _strip_height(monkeypatch, volume, rows):
-    """Set the strip budget so that strips of `volume` are `rows` high."""
-    row = volume.levels * volume.width * volume.costs.itemsize
-    monkeypatch.setattr(bp_engine, "_STRIP_BYTES", rows * row)
-    assert bp_engine._strip_rows(volume) == rows
+def _sweeps_match_reference(volume, start, masks, config):
+    """Sweep a field from `start` from each of `masks` in turn, and a copy
+    by `scheduled_sweep`: every sweep gives the reference's messages, next
+    mask, `changed`, largest change and update count, and
+    `extract_disparity` then gives np.argmin of the belief. Returns the
+    field."""
+    ref, fld = (MessageField(*start.shape[1:], start.dtype) for _ in range(2))
+    ref.msgs[...] = start
+    fld.msgs[...] = start
+    for active in masks:
+        want = scheduled_sweep(volume, ref, active, config.smoothness, config.epsilon)
+        mask = ConvergenceMask(*active.shape)
+        mask.active = active.copy()
+        updated = sweep(volume, fld, mask, config)
+        assert np.array_equal(fld.msgs, ref.msgs)
+        assert np.array_equal(mask.active, want[0]) and np.array_equal(mask.changed, want[1])
+        assert mask.max_delta == want[2] and updated == want[3]
+        m = fld.planes  # the belief summed in the engine's order
+        belief = volume.costs.transpose(2, 0, 1) + (((m[0] + m[1]) + m[2]) + m[3])
+        assert np.array_equal(extract_disparity(volume, fld).labels, np.argmin(belief, axis=0))
+    return fld
+
+
+def _chunk_senders(monkeypatch, volume, senders):
+    """Set the batch budget so that a sweep or an argmin over `volume`
+    takes `senders` pixels per chunk."""
+    monkeypatch.setattr(bp_engine, "_STRIP_BYTES", senders * volume.levels * volume.costs.itemsize)
 
 
 class TestStrips:
-    # strip heights: one row, two rows, and one that leaves a short last
-    # strip (or a single strip where the image is lower)
+    # chunks of one row, two rows, and three, which leave a short last
+    # chunk (or a single chunk where the image is lower)
     @pytest.mark.parametrize("rows", [1, 2, 3])
     @pytest.mark.parametrize("epsilon", [0.0, 1e-3])
     @pytest.mark.parametrize("shape", [(1, 9, 4), (9, 1, 4), (7, 5, 3), (8, 11, 6), (1, 1, 2)])
@@ -387,40 +366,26 @@ class TestStrips:
         vol = CostVolume(rng.uniform(0, 2, size=shape))
         start = rng.uniform(0, 2, size=(4, *shape))
         cfg = BpConfig(epsilon=epsilon, smoothness=SmoothnessParams(0.7, 1.5))
-        runs = []
         for height in (shape[0], rows):
-            _strip_height(monkeypatch, vol, height)
-            fld = MessageField(*shape)
-            fld.msgs[...] = start
-            run = []
-            for _ in range(3):  # each sweep from an all-true mask: dense
-                mask = ConvergenceMask(*shape[:2])
-                updated = sweep(vol, fld, mask, cfg)
-                run.append((fld.msgs.copy(), mask.active, mask.changed,
-                            mask.max_delta, updated, extract_disparity(vol, fld).labels))
-            runs.append(run)
-        for (m1, a1, c1, d1, n1, l1), (m2, a2, c2, d2, n2, l2) in zip(*runs):
-            assert np.array_equal(m1, m2)
-            assert np.array_equal(a1, a2) and np.array_equal(c1, c2)
-            assert d1 == d2 and n1 == n2
-            assert np.array_equal(l1, l2)
+            _chunk_senders(monkeypatch, vol, height * shape[1])
+            _sweeps_match_reference(vol, start, [np.ones(shape[:2], dtype=bool)] * 3, cfg)
 
     def test_strips_match_the_scalar_reference(self, monkeypatch):
-        # one-row strips, so every strip hands a row to the next
+        # one-row chunks, so every chunk hands a row to the next
         rng = np.random.default_rng(40)
         vol = CostVolume(rng.uniform(0, 1, size=(5, 4, 3)))
-        _strip_height(monkeypatch, vol, 1)
+        _chunk_senders(monkeypatch, vol, vol.width)
         fld, _, _ = _run(vol, 6)
         assert np.array_equal(fld.msgs, jacobi_bp(vol, 6, SmoothnessParams()).msgs)
 
-    def test_dense_sweep_and_argmin_hold_no_whole_frame(self, monkeypatch):
-        # sixteen strips of 16 rows; a whole (L, H, W) float32 frame is 2 MiB
+    def test_all_active_sweep_and_argmin_hold_no_whole_frame(self, monkeypatch):
+        # sixteen chunks of 16 rows; a whole (L, H, W) float32 frame is 2 MiB
         h, w, levels = 256, 64, 32
         rng = np.random.default_rng(41)
         vol = CostVolume(rng.uniform(0, 2, size=(h, w, levels)).astype(np.float32))
         fld = MessageField(h, w, levels, np.float32)
         fld.msgs[...] = rng.uniform(0, 2, size=fld.msgs.shape).astype(np.float32)
-        _strip_height(monkeypatch, vol, 16)
+        _chunk_senders(monkeypatch, vol, 16 * w)
         mask = ConvergenceMask(h, w)
         tracemalloc.start()
         try:
@@ -435,16 +400,16 @@ class TestStrips:
         assert mask.active.any() and labels.labels.shape == (h, w)
         assert swept < frame and extracted < frame
 
-    def test_gathered_sweep_holds_no_whole_frame(self, monkeypatch):
-        # all pixels but one active: gathered in chunks of 16 rows' worth
-        # of senders, where one snapshot of all of them would hold four
+    def test_partial_sweep_holds_no_whole_frame(self, monkeypatch):
+        # all pixels but one active: in chunks of 16 rows' worth of
+        # senders, where one snapshot of all of them would hold four
         # whole (L, H, W) frames
         h, w, levels = 256, 64, 32
         rng = np.random.default_rng(43)
         vol = CostVolume(rng.uniform(0, 2, size=(h, w, levels)).astype(np.float32))
         fld = MessageField(h, w, levels, np.float32)
         fld.msgs[...] = rng.uniform(0, 2, size=fld.msgs.shape).astype(np.float32)
-        _strip_height(monkeypatch, vol, 16)
+        _chunk_senders(monkeypatch, vol, 16 * w)
         mask = ConvergenceMask(h, w)
         mask.active[100, 30] = False
         tracemalloc.start()
@@ -457,12 +422,6 @@ class TestStrips:
         assert swept < levels * h * w * 4
 
 
-def _chunk_senders(monkeypatch, volume, senders):
-    """Set the batch budget so that a gathered sweep of `volume` takes
-    `senders` senders per chunk."""
-    monkeypatch.setattr(bp_engine, "_STRIP_BYTES", senders * volume.levels * volume.costs.itemsize)
-
-
 # shapes whose rows are wider than a chunk, so that a message sent down
 # waits several chunks for its receiver's; then the edge lines
 CHUNK_SHAPES = [(7, 9, 5), (8, 11, 6), (1, 9, 4), (9, 1, 4)]
@@ -473,29 +432,15 @@ class TestChunks:
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
     @pytest.mark.parametrize("shape", CHUNK_SHAPES)
     def test_chunks_match_shifted_slices(self, monkeypatch, shape, dtype, epsilon):
+        # sweeps from all-true masks, from a random field, in chunks
+        # without gaps
         rng = np.random.default_rng(44)
         vol = CostVolume(rng.uniform(0, 2, size=shape).astype(dtype))
         start = rng.uniform(0, 2, size=(4, *shape)).astype(dtype)
         cfg = BpConfig(epsilon=epsilon, smoothness=SmoothnessParams(0.7, 1.5))
-
-        def run(dense):
-            fld = MessageField(*shape, dtype)
-            fld.msgs[...] = start
-            rows = []
-            for _ in range(3):  # each sweep from an all-true mask
-                mask = ConvergenceMask(*shape[:2])
-                updated = _sweep(vol, fld, mask, cfg, dense=dense)
-                rows.append((fld.msgs.copy(), mask.active, mask.changed.copy(),
-                             mask.max_delta, updated))
-            return rows
-
-        want = run(dense=True)
         for senders in (1, 2, 3):
             _chunk_senders(monkeypatch, vol, senders)
-            for (m1, a1, c1, d1, n1), (m2, a2, c2, d2, n2) in zip(want, run(dense=False)):
-                assert np.array_equal(m1, m2)
-                assert np.array_equal(a1, a2) and np.array_equal(c1, c2)
-                assert d1 == d2 and n1 == n2
+            _sweeps_match_reference(vol, start, [np.ones(shape[:2], dtype=bool)] * 3, cfg)
 
     @pytest.mark.parametrize("epsilon", [0.0, 1e-3])
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
@@ -506,32 +451,43 @@ class TestChunks:
         p = SmoothnessParams()
         masks = [np.ones(shape[:2], dtype=bool)] + scheduled_bp(vol, 12, p, epsilon)[1][:-1]
         assert any(0 < m.sum() < m.size for m in masks)
-        ref = MessageField(*shape, dtype)
-        want = [(*scheduled_sweep(vol, ref, m, p, epsilon), ref.msgs.copy()) for m in masks]
         cfg = BpConfig(epsilon=epsilon, smoothness=p)
         for senders in (1, 2, 3):
             _chunk_senders(monkeypatch, vol, senders)
-            fld = MessageField(*shape, dtype)
-            for active, (w_active, w_changed, w_delta, w_updated, w_msgs) in zip(masks, want):
-                mask = ConvergenceMask(*shape[:2])
-                mask.active = active.copy()
-                assert _sweep(vol, fld, mask, cfg, dense=False) == w_updated
-                assert np.array_equal(fld.msgs, w_msgs)
-                assert np.array_equal(mask.active, w_active)
-                assert np.array_equal(mask.changed, w_changed)
-                assert mask.max_delta == w_delta
+            _sweeps_match_reference(vol, np.zeros((4, *shape), dtype), masks, cfg)
 
-    @pytest.mark.parametrize("dense", [True, False])
-    def test_epsilon_compared_in_float64(self, dense):
+    @pytest.mark.parametrize("partial", [False, True])
+    @pytest.mark.parametrize("shape", [(1, 9), (9, 1), (2, 3), (7, 9)])
+    def test_slots_from_outside_stay_untouched(self, monkeypatch, shape, partial):
+        # a sender on the left or right edge has a flat neighbour at the
+        # end of the previous or next row, whose slot from that side
+        # arrives from outside the image; chunks end mid-row and at row ends
+        h, w = shape
+        rng = np.random.default_rng(49)
+        vol = CostVolume(rng.uniform(0, 2, size=(h, w, 4)))
+        start = rng.uniform(1, 2, size=(4, h, w, 4))
+        active = np.arange(h * w).reshape(shape) % 3 != 1 if partial else np.ones(shape, bool)
+        outside = [(FROM_LEFT, np.s_[:, 0]), (FROM_RIGHT, np.s_[:, -1]),
+                   (FROM_UP, np.s_[0, :]), (FROM_DOWN, np.s_[-1, :])]
+        for senders in (1, w - 1, w + 1):
+            _chunk_senders(monkeypatch, vol, senders)
+            fld = _sweeps_match_reference(vol, start, [active], BpConfig(epsilon=0.0))
+            for slot, edge in outside:
+                assert np.array_equal(fld.msgs[slot][edge], start[slot][edge])
+
+    @pytest.mark.parametrize("held", [True, False])
+    def test_epsilon_compared_in_float64(self, monkeypatch, held):
         # the one message that moves, from (0, 0), moves by float32(0.01),
-        # which is below 0.01 though a float32 comparison would say not
+        # which is below 0.01 though a float32 comparison would say not;
+        # in chunks of one sender it is held for the second chunk
         step = np.float32(0.01)
         assert float(step) < 0.01 and (np.array([step]) >= 0.01).all()
         vol = CostVolume(np.array([[[0, step], [0, 0]]], dtype=np.float32))
+        _chunk_senders(monkeypatch, vol, 1 if held else 2)
         fld = MessageField(1, 2, 2, np.float32)
         mask = ConvergenceMask(1, 2)
         cfg = BpConfig(epsilon=0.01, smoothness=SmoothnessParams(1.0, 2.0))
-        assert _sweep(vol, fld, mask, cfg, dense=dense) == 2
+        assert sweep(vol, fld, mask, cfg) == 2
         assert fld.msgs[FROM_LEFT, 0, 1].tolist() == [0, step]
         assert mask.max_delta == float(step)
         assert mask.changed.tolist() == [[False, True]]

@@ -17,9 +17,9 @@ from stereo_bp import (
 from stereo_bp.bp_engine import (
     ConvergenceMask,
     MessageField,
-    _sweep,
     extract_disparity,
     run_bp,
+    sweep,
 )
 from stereo_bp.hierarchy import build_pyramid, lift_messages
 
@@ -80,8 +80,8 @@ class TestLiftMessages:
     def test_every_fine_vector_equals_parent(self):
         rng = np.random.default_rng(5)
         coarse = MessageField(3, 4, 3)
-        coarse.msgs = rng.uniform(0, 2, size=coarse.msgs.shape)
-        coarse.msgs -= coarse.msgs.min(axis=-1, keepdims=True)
+        coarse.msgs[...] = rng.uniform(0, 2, size=coarse.msgs.shape)
+        coarse.msgs[...] -= coarse.msgs.min(axis=-1, keepdims=True)
         fine = lift_messages(coarse, 5, 7)
         for y in range(5):
             for x in range(7):
@@ -93,8 +93,8 @@ class TestLiftMessages:
     def test_preserves_min_normalization(self):
         rng = np.random.default_rng(6)
         coarse = MessageField(2, 2, 4)
-        coarse.msgs = rng.uniform(0, 1, size=coarse.msgs.shape)
-        coarse.msgs -= coarse.msgs.min(axis=-1, keepdims=True)
+        coarse.msgs[...] = rng.uniform(0, 1, size=coarse.msgs.shape)
+        coarse.msgs[...] -= coarse.msgs.min(axis=-1, keepdims=True)
         fine = lift_messages(coarse, 4, 4)
         assert np.allclose(fine.msgs.min(axis=-1), 0.0)
 
@@ -196,7 +196,7 @@ class TestRunHierarchical:
 
         def all_active(volume, fld, mask, config):
             mask.active = ConvergenceMask(volume.height, volume.width).active
-            return _sweep(volume, fld, mask, config, dense=True)
+            return sweep(volume, fld, mask, config)
 
         monkeypatch.setattr("stereo_bp.hierarchy.run_bp", record)
         runs.append([])
