@@ -14,12 +14,12 @@ bit: messages, deltas and labels are those of the standard schedule that
 recomputes every pixel every sweep, and a run stops early only at an
 exact fixed point.
 
-Costs and messages keep their (H, W, L) and (4, H, W, L) shapes but are
-stored label-major, so every step works on whole label planes: the
+Costs keep their (H, W, L) shape but are stored label-major, as are the
+(4, L, H, W) messages, so every step works on whole label planes: the
 min-convolution runs along the label axis plane by plane.
 
 A sweep goes through its active senders in ascending flat order, in
-chunks of m senders whose (L, m) batch holds about _STRIP_BYTES. It reads
+chunks of m senders whose (L, m) batch holds about _CHUNK_BYTES. It reads
 a chunk's four incoming slots once: through views of the planes when the
 senders run without a gap, as every chunk of a sweep with every pixel
 active does, else gathered into one label-major (L, 4, m) snapshot. It
@@ -62,7 +62,7 @@ _SENDS = {
 # chunk's label-major (L, m) batch holds about this many bytes. A sweep
 # holds about six batches of a chunk at once; smaller chunks cost more
 # numpy calls than they save.
-_STRIP_BYTES = 512 * 1024
+_CHUNK_BYTES = 512 * 1024
 
 
 @dataclass
@@ -95,8 +95,7 @@ class MessageField:
     vector, in the given dtype (float64 unless told otherwise; the pipeline
     passes the cost volume's dtype, float32 for a built volume). They are
     stored label-major in `planes`, a C-contiguous (4, L, H, W) array, so a
-    sweep works on whole (H, W) planes; `msgs` views that storage as
-    (4, H, W, L) and writes through to it, as in `fld.msgs[...] = x`.
+    sweep works on whole (H, W) planes.
 
     No sweep writes a slot on an edge arriving from outside the image, so
     those stay zero.
@@ -104,10 +103,6 @@ class MessageField:
 
     def __init__(self, height, width, levels, dtype=np.float64):
         self.planes = np.zeros((4, levels, height, width), dtype=dtype)
-
-    @property
-    def msgs(self):
-        return self.planes.transpose(0, 2, 3, 1)
 
     @property
     def height(self):
@@ -173,9 +168,9 @@ def _planes(volume, fld):
 
 def _chunks(volume, flat):
     """Ascending flat indices `flat` in chunks of m: as many as keep one
-    (L, m) batch of the volume's dtype within _STRIP_BYTES, and at least
+    (L, m) batch of the volume's dtype within _CHUNK_BYTES, and at least
     one."""
-    m = max(1, _STRIP_BYTES // (volume.levels * volume.costs.itemsize))
+    m = max(1, _CHUNK_BYTES // (volume.levels * volume.costs.itemsize))
     return [flat[i:i + m] for i in range(0, flat.size, m)]
 
 

@@ -44,7 +44,7 @@ class CostVolume:
         # Stored label-major: costs.transpose(2, 0, 1) is a C-contiguous
         # (L, H, W) array, so BP reads whole (H, W) planes per label.
         self.costs = np.ascontiguousarray(c.transpose(2, 0, 1)).transpose(1, 2, 0)
-        if not np.all(np.isfinite(self.costs)) or self.costs.min() < 0:
+        if not (self.costs.min() >= 0 and self.costs.max() < np.inf):  # NaN fails >=
             raise ValueError("costs must be finite and non-negative")
 
     @property

@@ -73,7 +73,7 @@ def make_stereogram(width, height, shift, seed):
 
     Returns (left, right, truth) with exact integer ground truth: `shift`
     inside the rectangle, 0 elsewhere."""
-    if shift < 0 or shift >= width // 4:
+    if shift < 0 or 4 * shift >= width:
         raise ValueError(f"shift {shift} must be in [0, width/4) for width {width}")
     rng = np.random.default_rng(seed)
     left = rng.integers(0, 256, size=(height, width), dtype=np.uint8)

@@ -4,7 +4,7 @@ Images and disparity maps travel as PGM files (maxval <= 255; P2 ASCII or
 P5 binary is read, P5 is written) so every experiment is reproducible
 bit-exactly from files on disk. Headers follow the Netpbm rules:
 whitespace-delimited tokens, '#' comments allowed anywhere before the
-raster.
+raster, and in P5 exactly one whitespace byte between maxval and the raster.
 """
 
 from __future__ import annotations
@@ -101,6 +101,18 @@ def _tokenize_header(data, count):
     return tokens, i
 
 
+def _ints(tokens, what, base=0):
+    """The values of (token, offset) pairs as ints; PgmError at the offset,
+    shifted by `base`, of the first token that is not one."""
+    values = []
+    for tok, off in tokens:
+        try:
+            values.append(int(tok))
+        except ValueError:
+            raise PgmError(f"non-numeric {what} {tok!r}", offset=base + off) from None
+    return values
+
+
 def read_pgm(path):
     """Read a P2 (ASCII) or P5 (binary) PGM file into a GrayImage.
 
@@ -114,13 +126,10 @@ def read_pgm(path):
         data = fp.read()
 
     tokens, body_start = _tokenize_header(data, 4)
-    (magic, magic_off), (w_tok, w_off), (h_tok, h_off), (mv_tok, mv_off) = tokens
+    (magic, magic_off), (_, w_off), _, (_, mv_off) = tokens
     if magic not in (b"P2", b"P5"):
         raise PgmError(f"not a PGM file (magic {magic!r})", offset=magic_off)
-    try:
-        width, height, maxval = int(w_tok), int(h_tok), int(mv_tok)
-    except ValueError:
-        raise PgmError("non-numeric header field", offset=w_off) from None
+    width, height, maxval = _ints(tokens[1:], "header field")
     if width < 1 or height < 1:
         raise PgmError(f"bad dimensions {width}x{height}", offset=w_off)
     if not 0 < maxval <= 255:
@@ -129,6 +138,8 @@ def read_pgm(path):
     npix = width * height
     if magic == b"P5":
         # exactly one whitespace byte separates maxval from the raster
+        if not data[body_start : body_start + 1].isspace():
+            raise PgmError("expected one whitespace byte after maxval", offset=body_start)
         body = data[body_start + 1 :]
         if len(body) < npix:
             raise PgmError(
@@ -143,15 +154,7 @@ def read_pgm(path):
             raise PgmError(
                 "truncated raster", offset=body_start + (err.offset or 0)
             ) from None
-        vals = []
-        for tok, off in tokens:
-            try:
-                vals.append(int(tok))
-            except ValueError:
-                raise PgmError(
-                    f"non-numeric sample {tok!r}", offset=body_start + off
-                ) from None
-        samples = np.array(vals, dtype=np.int64)
+        samples = np.array(_ints(tokens, "sample", body_start), dtype=np.int64)
     if samples.min() < 0 or samples.max() > maxval:
         raise PgmError("sample outside [0, maxval]", offset=body_start)
     return GrayImage(samples.astype(np.uint8).reshape(height, width))

@@ -12,6 +12,8 @@
   rebuilt after each sweep.
 - `exact_map_chain`, `exact_map_grid_small`: exact MAP on a chain
   (Viterbi) and on a tiny grid (exhaustive search).
+- `msgs`: a message field as a pixel-major (4, H, W, L) view, the layout
+  the references index messages in.
 
 Only the data types, the slot numbers, `labeling_energy` and the
 min-convolution kernel come from `stereo_bp`.
@@ -42,6 +44,13 @@ BACK = {
     FROM_UP: FROM_DOWN,
     FROM_DOWN: FROM_UP,
 }
+
+
+def msgs(fld):
+    """The messages of `fld` as a (4, H, W, L) array, indexed [slot, y, x]
+    to a length-L vector: a view of its label-major planes, which writes
+    through to them."""
+    return fld.planes.transpose(0, 2, 3, 1)
 
 
 def smoothness_cost(a, b, params):
@@ -80,8 +89,8 @@ def update_message(x, y, direction, volume, fld, params):
     dx, dy = STEPS[direction]
     if not (0 <= x + dx < fld.width and 0 <= y + dy < fld.height):
         raise ValueError(f"pixel ({x}, {y}) has no neighbor in direction {direction}")
-    msgs = fld.msgs
-    h = volume.costs[y, x] + msgs[:, y, x].sum(axis=0) - msgs[BACK[direction], y, x]
+    incoming = msgs(fld)[:, y, x]
+    h = volume.costs[y, x] + incoming.sum(axis=0) - incoming[BACK[direction]]
     return _minconv_truncated_linear(h, params.slope, params.truncation)
 
 
@@ -93,12 +102,12 @@ def jacobi_bp(volume, sweeps, params):
     fld = MessageField(h, w, volume.levels)
     for _ in range(sweeps):
         before = MessageField(h, w, volume.levels)
-        before.msgs[...] = fld.msgs
+        msgs(before)[...] = msgs(fld)
         for direction, (dx, dy) in STEPS.items():
             for y in range(h):
                 for x in range(w):
                     if 0 <= x + dx < w and 0 <= y + dy < h:
-                        fld.msgs[direction, y + dy, x + dx] = update_message(
+                        msgs(fld)[direction, y + dy, x + dx] = update_message(
                             x, y, direction, volume, before, params
                         )
     return fld
@@ -118,8 +127,8 @@ def scheduled_sweep(volume, fld, active, params, epsilon):
         return (change > 0) & (change >= epsilon)
 
     h, w = volume.height, volume.width
-    before = MessageField(h, w, volume.levels, fld.msgs.dtype)
-    before.msgs[...] = fld.msgs
+    before = MessageField(h, w, volume.levels, fld.planes.dtype)
+    msgs(before)[...] = msgs(fld)
     sent = np.zeros((h, w))  # largest change among a sender's messages
     received = np.zeros((h, w))  # largest change among a receiver's
     for y in range(h):
@@ -131,8 +140,8 @@ def scheduled_sweep(volume, fld, active, params, epsilon):
                 if not (0 <= qx < w and 0 <= qy < h):
                     continue
                 msg = update_message(x, y, direction, volume, before, params)
-                change = np.abs(msg - before.msgs[direction, qy, qx]).max()
-                fld.msgs[direction, qy, qx] = msg
+                change = np.abs(msg - msgs(before)[direction, qy, qx]).max()
+                msgs(fld)[direction, qy, qx] = msg
                 sent[y, x] = max(sent[y, x], change)
                 received[qy, qx] = max(received[qy, qx], change)
     return moved(sent) | moved(received), received > 0, float(sent.max()), int(active.sum())

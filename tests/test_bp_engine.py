@@ -7,6 +7,7 @@ from bp_reference import STEPS as _STEPS
 from bp_reference import (
     exact_map_chain,
     jacobi_bp,
+    msgs,
     scheduled_bp,
     scheduled_sweep,
     smoothness_cost,
@@ -106,10 +107,10 @@ class TestUpdateMessage:
         rng = np.random.default_rng(21)
         vol = CostVolume(rng.uniform(0, 5, size=(3, 3, 4)))
         fld = MessageField(3, 3, 4)
-        fld.msgs[...] = rng.uniform(0, 2, size=fld.msgs.shape)
+        msgs(fld)[...] = rng.uniform(0, 2, size=msgs(fld).shape)
         p = SmoothnessParams(0.8, 1.7)
         msg = update_message(1, 1, FROM_LEFT, vol, fld, p)
-        incoming = fld.msgs[:, 1, 1].sum(axis=0) - fld.msgs[FROM_RIGHT, 1, 1]
+        incoming = msgs(fld)[:, 1, 1].sum(axis=0) - msgs(fld)[FROM_RIGHT, 1, 1]
         raw = np.array(
             [
                 min(
@@ -126,12 +127,12 @@ class TestMessageField:
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_buffer_in_the_given_dtype(self, dtype):
         fld = MessageField(3, 5, 2, dtype)
-        assert fld.msgs.shape == (4, 3, 5, 2) and fld.msgs.dtype == dtype
-        assert fld.msgs.transpose(0, 3, 1, 2).flags.c_contiguous
-        assert not fld.msgs.any()
+        assert fld.planes.shape == (4, 2, 3, 5) and fld.planes.dtype == dtype
+        assert fld.planes.flags.c_contiguous and not fld.planes.any()
+        assert not hasattr(fld, "msgs")  # one array, in one layout
 
     def test_float64_by_default(self):
-        assert MessageField(2, 2, 2).msgs.dtype == np.float64
+        assert MessageField(2, 2, 2).planes.dtype == np.float64
 
 
 class TestSweep:
@@ -143,17 +144,17 @@ class TestSweep:
         cfg = BpConfig(epsilon=0.0)
         for _ in range(5):
             sweep(vol, fld, mask, cfg)
-            assert np.all(fld.msgs.min(axis=-1) < 1e-6)
-            assert np.all(fld.msgs >= 0)
+            assert np.all(msgs(fld).min(axis=-1) < 1e-6)
+            assert np.all(msgs(fld) >= 0)
 
     def test_border_slots_stay_zero(self):
         rng = np.random.default_rng(23)
         vol = CostVolume(rng.uniform(0, 1, size=(4, 5, 3)))
         fld, _, _ = _run(vol, 4)
-        assert np.all(fld.msgs[FROM_LEFT, :, 0] == 0)
-        assert np.all(fld.msgs[FROM_RIGHT, :, -1] == 0)
-        assert np.all(fld.msgs[FROM_UP, 0, :] == 0)
-        assert np.all(fld.msgs[FROM_DOWN, -1, :] == 0)
+        assert np.all(msgs(fld)[FROM_LEFT, :, 0] == 0)
+        assert np.all(msgs(fld)[FROM_RIGHT, :, -1] == 0)
+        assert np.all(msgs(fld)[FROM_UP, 0, :] == 0)
+        assert np.all(msgs(fld)[FROM_DOWN, -1, :] == 0)
 
     def test_unambiguous_data_term_converges_fast(self):
         costs = np.full((5, 5, 3), 1.0)
@@ -174,7 +175,7 @@ class TestSweep:
         vol = CostVolume(rng.uniform(0, 1, size=(8, 8, 3)))
         fld_ref = jacobi_bp(vol, 12, SmoothnessParams())
         fld_fast, total, _ = _run(vol, 12, epsilon=0.0)
-        assert np.array_equal(fld_ref.msgs, fld_fast.msgs)
+        assert np.array_equal(msgs(fld_ref), msgs(fld_fast))
         assert total == scheduled_bp(vol, 12, SmoothnessParams(), 0.0)[2]
         a = extract_disparity(vol, fld_ref)
         b = extract_disparity(vol, fld_fast)
@@ -194,9 +195,9 @@ class TestSweep:
         h, w, levels = 5, 6, 4
         vol = CostVolume(rng.uniform(0, 2, size=(h, w, levels)))
         fld = MessageField(h, w, levels)
-        fld.msgs[...] = rng.uniform(0, 2, size=fld.msgs.shape)
+        msgs(fld)[...] = rng.uniform(0, 2, size=msgs(fld).shape)
         before = MessageField(h, w, levels)
-        before.msgs[...] = fld.msgs
+        msgs(before)[...] = msgs(fld)
         cfg = BpConfig(epsilon=0.0, smoothness=SmoothnessParams(0.7, 1.5))
         assert sweep(vol, fld, ConvergenceMask(h, w), cfg) == h * w
         for direction, (dx, dy) in _STEPS.items():
@@ -205,16 +206,16 @@ class TestSweep:
                     if not (0 <= x + dx < w and 0 <= y + dy < h):
                         continue
                     want = update_message(x, y, direction, vol, before, cfg.smoothness)
-                    assert np.array_equal(fld.msgs[direction, y + dy, x + dx], want)
+                    assert np.array_equal(msgs(fld)[direction, y + dy, x + dx], want)
 
     def test_fast_sweep_recomputes_only_active_senders(self):
         rng = np.random.default_rng(31)
         h, w, levels = 6, 7, 3
         vol = CostVolume(rng.uniform(0, 2, size=(h, w, levels)))
         fld = MessageField(h, w, levels)
-        fld.msgs[...] = rng.uniform(0, 2, size=fld.msgs.shape)
+        msgs(fld)[...] = rng.uniform(0, 2, size=msgs(fld).shape)
         before = MessageField(h, w, levels)
-        before.msgs[...] = fld.msgs
+        msgs(before)[...] = msgs(fld)
         mask = ConvergenceMask(h, w)
         mask.active[...] = False
         for y, x in [(0, 0), (2, 3), (5, 6), (3, 0)]:
@@ -230,8 +231,8 @@ class TestSweep:
                         want = update_message(sx, sy, direction, vol, before,
                                               cfg.smoothness)
                     else:
-                        want = before.msgs[direction, y, x]
-                    assert np.array_equal(fld.msgs[direction, y, x], want)
+                        want = msgs(before)[direction, y, x]
+                    assert np.array_equal(msgs(fld)[direction, y, x], want)
 
     @pytest.mark.parametrize("shape", [(1, 17), (17, 1)])
     def test_fast_epsilon_zero_matches_full_on_lines(self, shape):
@@ -239,7 +240,7 @@ class TestSweep:
         vol = CostVolume(rng.uniform(0, 1, size=(*shape, 5)))
         fld_ref = jacobi_bp(vol, 20, SmoothnessParams())
         fld_fast, total, _ = _run(vol, 20, epsilon=0.0)
-        assert np.array_equal(fld_ref.msgs, fld_fast.msgs)
+        assert np.array_equal(msgs(fld_ref), msgs(fld_fast))
         assert total == scheduled_bp(vol, 20, SmoothnessParams(), 0.0)[2]
 
     def test_epsilon_zero_stops_at_the_exact_fixed_point(self):
@@ -254,7 +255,7 @@ class TestSweep:
         run_bp(vol, fld, BpConfig(epsilon=0.0), 60, trace=trace)
         assert len(trace) < 60
         assert trace[-1][2:4] == (0, 0.0)  # no pixel active, nothing moved
-        assert np.array_equal(fld.msgs, jacobi_bp(vol, 60, SmoothnessParams()).msgs)
+        assert np.array_equal(msgs(fld), msgs(jacobi_bp(vol, 60, SmoothnessParams())))
 
     def test_dimension_mismatch(self):
         vol = CostVolume(np.zeros((3, 3, 2)))
@@ -277,7 +278,7 @@ class TestSchedule:
         want_fld, want_masks, want_total = scheduled_bp(vol, 12, SmoothnessParams(), epsilon)
 
         fld, total, cfg = _run(vol, 12, epsilon=epsilon)
-        assert np.array_equal(fld.msgs, want_fld.msgs)
+        assert np.array_equal(msgs(fld), msgs(want_fld))
         assert total == want_total
 
         fld = MessageField(h, w, levels)
@@ -285,7 +286,7 @@ class TestSchedule:
         for want in want_masks:
             sweep(vol, fld, mask, cfg)
             assert np.array_equal(mask.active, want)
-        assert np.array_equal(fld.msgs, want_fld.msgs)
+        assert np.array_equal(msgs(fld), msgs(want_fld))
 
     @pytest.mark.parametrize("case", SCHEDULE_CASES)
     def test_reference_at_epsilon_zero_is_jacobi(self, case):
@@ -295,7 +296,7 @@ class TestSchedule:
         p = SmoothnessParams()
         for sweeps in range(1, 13):
             fld, _, _ = scheduled_bp(vol, sweeps, p, 0.0)
-            assert np.array_equal(fld.msgs, jacobi_bp(vol, sweeps, p).msgs)
+            assert np.array_equal(msgs(fld), msgs(jacobi_bp(vol, sweeps, p)))
 
     def test_reference_exercises_partial_masks(self):
         # the 8x8 cases above must sweep partial masks, and reactivate
@@ -306,25 +307,6 @@ class TestSchedule:
         assert any(0 < c < h * w for c in counts)
         assert any(b > a for a, b in zip(counts, counts[1:]))
 
-    @pytest.mark.parametrize("epsilon", [0.0, 1e-3])
-    @pytest.mark.parametrize("shape", [(7, 9, 5), (1, 6, 3), (6, 1, 3), (1, 1, 2)])
-    def test_gathered_path_agrees_with_shifted_slices(self, shape, epsilon):
-        # sweeps from all-true masks, from a random field, in one chunk
-        rng = np.random.default_rng(33)
-        vol = CostVolume(rng.uniform(0, 2, size=shape))
-        start = rng.uniform(0, 2, size=(4, *shape))
-        cfg = BpConfig(epsilon=epsilon, smoothness=SmoothnessParams(0.7, 1.5))
-        _sweeps_match_reference(vol, start, [np.ones(shape[:2], dtype=bool)] * 3, cfg)
-
-    @pytest.mark.parametrize("epsilon", [0.0, 1e-3])
-    def test_float32_paths_agree_and_stay_float32(self, epsilon):
-        rng = np.random.default_rng(35)
-        vol = CostVolume(rng.uniform(0, 2, size=(7, 9, 5)).astype(np.float32))
-        start = rng.uniform(0, 2, size=(4, 7, 9, 5)).astype(np.float32)
-        cfg = BpConfig(epsilon=epsilon, smoothness=SmoothnessParams(0.7, 1.5))
-        fld = _sweeps_match_reference(vol, start, [np.ones((7, 9), dtype=bool)], cfg)
-        assert fld.msgs.dtype == np.float32
-
 
 def _sweeps_match_reference(volume, start, masks, config):
     """Sweep a field from `start` from each of `masks` in turn, and a copy
@@ -333,14 +315,14 @@ def _sweeps_match_reference(volume, start, masks, config):
     `extract_disparity` then gives np.argmin of the belief. Returns the
     field."""
     ref, fld = (MessageField(*start.shape[1:], start.dtype) for _ in range(2))
-    ref.msgs[...] = start
-    fld.msgs[...] = start
+    msgs(ref)[...] = start
+    msgs(fld)[...] = start
     for active in masks:
         want = scheduled_sweep(volume, ref, active, config.smoothness, config.epsilon)
         mask = ConvergenceMask(*active.shape)
         mask.active = active.copy()
         updated = sweep(volume, fld, mask, config)
-        assert np.array_equal(fld.msgs, ref.msgs)
+        assert np.array_equal(msgs(fld), msgs(ref))
         assert np.array_equal(mask.active, want[0]) and np.array_equal(mask.changed, want[1])
         assert mask.max_delta == want[2] and updated == want[3]
         m = fld.planes  # the belief summed in the engine's order
@@ -352,39 +334,123 @@ def _sweeps_match_reference(volume, start, masks, config):
 def _chunk_senders(monkeypatch, volume, senders):
     """Set the batch budget so that a sweep or an argmin over `volume`
     takes `senders` pixels per chunk."""
-    monkeypatch.setattr(bp_engine, "_STRIP_BYTES", senders * volume.levels * volume.costs.itemsize)
+    monkeypatch.setattr(bp_engine, "_CHUNK_BYTES", senders * volume.levels * volume.costs.itemsize)
 
 
-class TestStrips:
-    # chunks of one row, two rows, and three, which leave a short last
-    # chunk (or a single chunk where the image is lower)
-    @pytest.mark.parametrize("rows", [1, 2, 3])
-    @pytest.mark.parametrize("epsilon", [0.0, 1e-3])
-    @pytest.mark.parametrize("shape", [(1, 9, 4), (9, 1, 4), (7, 5, 3), (8, 11, 6), (1, 1, 2)])
-    def test_strips_match_one_strip(self, monkeypatch, shape, epsilon, rows):
-        rng = np.random.default_rng(39)
-        vol = CostVolume(rng.uniform(0, 2, size=shape))
-        start = rng.uniform(0, 2, size=(4, *shape))
+# shapes whose rows are wider than a chunk, so that a message sent down
+# waits several chunks for its receiver's; then the edge lines
+CHUNK_SHAPES = [(7, 9, 5), (8, 11, 6), (1, 9, 4), (9, 1, 4)]
+
+
+# Sweeps with every pixel active, from a random field: (seed, (H, W, L),
+# dtype, epsilon, sweeps, senders per chunk). Each chunk size in turn
+# sweeps from the same start; None keeps the default budget, which takes
+# these frames in one chunk. Seeds 33 and 35 sweep in one chunk; seed 39
+# in one chunk, then in chunks of one, two or three rows, which leave a
+# short last chunk (or a single chunk where the image is lower); seed 44
+# in chunks of one, two and three senders.
+ALL_ACTIVE_CASES = [
+    *[(33, shape, np.float64, epsilon, 3, (None,))
+      for shape in [(7, 9, 5), (1, 6, 3), (6, 1, 3), (1, 1, 2)] for epsilon in (0.0, 1e-3)],
+    *[(35, (7, 9, 5), np.float32, epsilon, 1, (None,)) for epsilon in (0.0, 1e-3)],
+    *[(39, shape, np.float64, epsilon, 3, (shape[0] * shape[1], rows * shape[1]))
+      for shape in [(1, 9, 4), (9, 1, 4), (7, 5, 3), (8, 11, 6), (1, 1, 2)]
+      for epsilon in (0.0, 1e-3) for rows in (1, 2, 3)],
+    *[(44, shape, dtype, epsilon, 3, (1, 2, 3))
+      for shape in CHUNK_SHAPES for dtype in (np.float64, np.float32) for epsilon in (0.0, 1e-3)],
+]
+
+
+def _case_id(case):
+    seed, shape, dtype, epsilon, sweeps, chunks = case
+    sizes = "_".join("default" if m is None else str(m) for m in chunks)
+    dims = "x".join(map(str, shape))
+    return f"seed{seed}-{dims}-{np.dtype(dtype).name}-eps{epsilon}-sweeps{sweeps}-chunks{sizes}"
+
+
+class TestChunks:
+    @pytest.mark.parametrize("case", ALL_ACTIVE_CASES, ids=_case_id)
+    def test_all_active_sweeps_match_the_scalar_reference(self, monkeypatch, case):
+        seed, shape, dtype, epsilon, sweeps, chunks = case
+        rng = np.random.default_rng(seed)
+        vol = CostVolume(rng.uniform(0, 2, size=shape).astype(dtype))
+        start = rng.uniform(0, 2, size=(4, *shape)).astype(dtype)
         cfg = BpConfig(epsilon=epsilon, smoothness=SmoothnessParams(0.7, 1.5))
-        for height in (shape[0], rows):
-            _chunk_senders(monkeypatch, vol, height * shape[1])
-            _sweeps_match_reference(vol, start, [np.ones(shape[:2], dtype=bool)] * 3, cfg)
+        masks = [np.ones(shape[:2], dtype=bool)] * sweeps
+        for senders in chunks:
+            if senders is not None:
+                _chunk_senders(monkeypatch, vol, senders)
+            fld = _sweeps_match_reference(vol, start, masks, cfg)
+            assert fld.planes.dtype == dtype
 
-    def test_strips_match_the_scalar_reference(self, monkeypatch):
+    @pytest.mark.parametrize("epsilon", [0.0, 1e-3])
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("shape", CHUNK_SHAPES)
+    def test_chunks_match_the_scalar_reference(self, monkeypatch, shape, dtype, epsilon):
+        # sweeps from the partial masks of the scheduled reference run
+        vol = CostVolume(np.random.default_rng(48).uniform(0, 3, size=shape).astype(dtype))
+        p = SmoothnessParams()
+        masks = [np.ones(shape[:2], dtype=bool)] + scheduled_bp(vol, 12, p, epsilon)[1][:-1]
+        assert any(0 < m.sum() < m.size for m in masks)
+        cfg = BpConfig(epsilon=epsilon, smoothness=p)
+        for senders in (1, 2, 3):
+            _chunk_senders(monkeypatch, vol, senders)
+            _sweeps_match_reference(vol, np.zeros((4, *shape), dtype), masks, cfg)
+
+    def test_one_row_chunks_match_jacobi(self, monkeypatch):
         # one-row chunks, so every chunk hands a row to the next
         rng = np.random.default_rng(40)
         vol = CostVolume(rng.uniform(0, 1, size=(5, 4, 3)))
         _chunk_senders(monkeypatch, vol, vol.width)
         fld, _, _ = _run(vol, 6)
-        assert np.array_equal(fld.msgs, jacobi_bp(vol, 6, SmoothnessParams()).msgs)
+        assert np.array_equal(msgs(fld), msgs(jacobi_bp(vol, 6, SmoothnessParams())))
 
+    @pytest.mark.parametrize("partial", [False, True])
+    @pytest.mark.parametrize("shape", [(1, 9), (9, 1), (2, 3), (7, 9)])
+    def test_slots_from_outside_stay_untouched(self, monkeypatch, shape, partial):
+        # a sender on the left or right edge has a flat neighbour at the
+        # end of the previous or next row, whose slot from that side
+        # arrives from outside the image; chunks end mid-row and at row ends
+        h, w = shape
+        rng = np.random.default_rng(49)
+        vol = CostVolume(rng.uniform(0, 2, size=(h, w, 4)))
+        start = rng.uniform(1, 2, size=(4, h, w, 4))
+        active = np.arange(h * w).reshape(shape) % 3 != 1 if partial else np.ones(shape, bool)
+        outside = [(FROM_LEFT, np.s_[:, 0]), (FROM_RIGHT, np.s_[:, -1]),
+                   (FROM_UP, np.s_[0, :]), (FROM_DOWN, np.s_[-1, :])]
+        for senders in (1, w - 1, w + 1):
+            _chunk_senders(monkeypatch, vol, senders)
+            fld = _sweeps_match_reference(vol, start, [active], BpConfig(epsilon=0.0))
+            for slot, edge in outside:
+                assert np.array_equal(msgs(fld)[slot][edge], start[slot][edge])
+
+    @pytest.mark.parametrize("held", [True, False])
+    def test_epsilon_compared_in_float64(self, monkeypatch, held):
+        # the one message that moves, from (0, 0), moves by float32(0.01),
+        # which is below 0.01 though a float32 comparison would say not;
+        # in chunks of one sender it is held for the second chunk
+        step = np.float32(0.01)
+        assert float(step) < 0.01 and (np.array([step]) >= 0.01).all()
+        vol = CostVolume(np.array([[[0, step], [0, 0]]], dtype=np.float32))
+        _chunk_senders(monkeypatch, vol, 1 if held else 2)
+        fld = MessageField(1, 2, 2, np.float32)
+        mask = ConvergenceMask(1, 2)
+        cfg = BpConfig(epsilon=0.01, smoothness=SmoothnessParams(1.0, 2.0))
+        assert sweep(vol, fld, mask, cfg) == 2
+        assert msgs(fld)[FROM_LEFT, 0, 1].tolist() == [0, step]
+        assert mask.max_delta == float(step)
+        assert mask.changed.tolist() == [[False, True]]
+        assert not mask.active.any()
+
+
+class TestMemory:
     def test_all_active_sweep_and_argmin_hold_no_whole_frame(self, monkeypatch):
         # sixteen chunks of 16 rows; a whole (L, H, W) float32 frame is 2 MiB
         h, w, levels = 256, 64, 32
         rng = np.random.default_rng(41)
         vol = CostVolume(rng.uniform(0, 2, size=(h, w, levels)).astype(np.float32))
         fld = MessageField(h, w, levels, np.float32)
-        fld.msgs[...] = rng.uniform(0, 2, size=fld.msgs.shape).astype(np.float32)
+        msgs(fld)[...] = rng.uniform(0, 2, size=msgs(fld).shape).astype(np.float32)
         _chunk_senders(monkeypatch, vol, 16 * w)
         mask = ConvergenceMask(h, w)
         tracemalloc.start()
@@ -408,7 +474,7 @@ class TestStrips:
         rng = np.random.default_rng(43)
         vol = CostVolume(rng.uniform(0, 2, size=(h, w, levels)).astype(np.float32))
         fld = MessageField(h, w, levels, np.float32)
-        fld.msgs[...] = rng.uniform(0, 2, size=fld.msgs.shape).astype(np.float32)
+        msgs(fld)[...] = rng.uniform(0, 2, size=msgs(fld).shape).astype(np.float32)
         _chunk_senders(monkeypatch, vol, 16 * w)
         mask = ConvergenceMask(h, w)
         mask.active[100, 30] = False
@@ -422,78 +488,6 @@ class TestStrips:
         assert swept < levels * h * w * 4
 
 
-# shapes whose rows are wider than a chunk, so that a message sent down
-# waits several chunks for its receiver's; then the edge lines
-CHUNK_SHAPES = [(7, 9, 5), (8, 11, 6), (1, 9, 4), (9, 1, 4)]
-
-
-class TestChunks:
-    @pytest.mark.parametrize("epsilon", [0.0, 1e-3])
-    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
-    @pytest.mark.parametrize("shape", CHUNK_SHAPES)
-    def test_chunks_match_shifted_slices(self, monkeypatch, shape, dtype, epsilon):
-        # sweeps from all-true masks, from a random field, in chunks
-        # without gaps
-        rng = np.random.default_rng(44)
-        vol = CostVolume(rng.uniform(0, 2, size=shape).astype(dtype))
-        start = rng.uniform(0, 2, size=(4, *shape)).astype(dtype)
-        cfg = BpConfig(epsilon=epsilon, smoothness=SmoothnessParams(0.7, 1.5))
-        for senders in (1, 2, 3):
-            _chunk_senders(monkeypatch, vol, senders)
-            _sweeps_match_reference(vol, start, [np.ones(shape[:2], dtype=bool)] * 3, cfg)
-
-    @pytest.mark.parametrize("epsilon", [0.0, 1e-3])
-    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
-    @pytest.mark.parametrize("shape", CHUNK_SHAPES)
-    def test_chunks_match_the_scalar_reference(self, monkeypatch, shape, dtype, epsilon):
-        # sweeps from the partial masks of the scheduled reference run
-        vol = CostVolume(np.random.default_rng(48).uniform(0, 3, size=shape).astype(dtype))
-        p = SmoothnessParams()
-        masks = [np.ones(shape[:2], dtype=bool)] + scheduled_bp(vol, 12, p, epsilon)[1][:-1]
-        assert any(0 < m.sum() < m.size for m in masks)
-        cfg = BpConfig(epsilon=epsilon, smoothness=p)
-        for senders in (1, 2, 3):
-            _chunk_senders(monkeypatch, vol, senders)
-            _sweeps_match_reference(vol, np.zeros((4, *shape), dtype), masks, cfg)
-
-    @pytest.mark.parametrize("partial", [False, True])
-    @pytest.mark.parametrize("shape", [(1, 9), (9, 1), (2, 3), (7, 9)])
-    def test_slots_from_outside_stay_untouched(self, monkeypatch, shape, partial):
-        # a sender on the left or right edge has a flat neighbour at the
-        # end of the previous or next row, whose slot from that side
-        # arrives from outside the image; chunks end mid-row and at row ends
-        h, w = shape
-        rng = np.random.default_rng(49)
-        vol = CostVolume(rng.uniform(0, 2, size=(h, w, 4)))
-        start = rng.uniform(1, 2, size=(4, h, w, 4))
-        active = np.arange(h * w).reshape(shape) % 3 != 1 if partial else np.ones(shape, bool)
-        outside = [(FROM_LEFT, np.s_[:, 0]), (FROM_RIGHT, np.s_[:, -1]),
-                   (FROM_UP, np.s_[0, :]), (FROM_DOWN, np.s_[-1, :])]
-        for senders in (1, w - 1, w + 1):
-            _chunk_senders(monkeypatch, vol, senders)
-            fld = _sweeps_match_reference(vol, start, [active], BpConfig(epsilon=0.0))
-            for slot, edge in outside:
-                assert np.array_equal(fld.msgs[slot][edge], start[slot][edge])
-
-    @pytest.mark.parametrize("held", [True, False])
-    def test_epsilon_compared_in_float64(self, monkeypatch, held):
-        # the one message that moves, from (0, 0), moves by float32(0.01),
-        # which is below 0.01 though a float32 comparison would say not;
-        # in chunks of one sender it is held for the second chunk
-        step = np.float32(0.01)
-        assert float(step) < 0.01 and (np.array([step]) >= 0.01).all()
-        vol = CostVolume(np.array([[[0, step], [0, 0]]], dtype=np.float32))
-        _chunk_senders(monkeypatch, vol, 1 if held else 2)
-        fld = MessageField(1, 2, 2, np.float32)
-        mask = ConvergenceMask(1, 2)
-        cfg = BpConfig(epsilon=0.01, smoothness=SmoothnessParams(1.0, 2.0))
-        assert sweep(vol, fld, mask, cfg) == 2
-        assert fld.msgs[FROM_LEFT, 0, 1].tolist() == [0, step]
-        assert mask.max_delta == float(step)
-        assert mask.changed.tolist() == [[False, True]]
-        assert not mask.active.any()
-
-
 def _reference_trace(volume, config, sweeps):
     """run_bp's trace rows, each from the whole frame: sweep, then score
     the labeling `extract_disparity` takes from the entire field, and take
@@ -502,10 +496,10 @@ def _reference_trace(volume, config, sweeps):
     mask = ConvergenceMask(volume.height, volume.width)
     rows = []
     for it in range(1, sweeps + 1):
-        before = fld.msgs.copy()
+        before = msgs(fld).copy()
         sweep(volume, fld, mask, config)
         energy = labeling_energy(volume, extract_disparity(volume, fld), config.smoothness)
-        max_delta = float(np.abs(fld.msgs - before).max())
+        max_delta = float(np.abs(msgs(fld) - before).max())
         rows.append((None, it, int(mask.active.sum()), max_delta, energy))
         if not mask.active.any():
             break
@@ -524,7 +518,7 @@ class TestEnergyTrace:
         trace = []
         run_bp(vol, fld, cfg, 12, trace=trace)
         assert trace == want
-        assert np.array_equal(fld.msgs, want_fld.msgs)
+        assert np.array_equal(msgs(fld), msgs(want_fld))
 
     def test_relabels_a_flip_below_epsilon(self):
         # in this chain the fourth sweep moves the messages into pixel
@@ -536,9 +530,9 @@ class TestEnergyTrace:
         mask = ConvergenceMask(1, 9)
         for _ in range(3):
             sweep(vol, fld, mask, cfg)
-        before, labels = fld.msgs.copy(), extract_disparity(vol, fld).labels
+        before, labels = msgs(fld).copy(), extract_disparity(vol, fld).labels
         sweep(vol, fld, mask, cfg)
-        assert 0 < np.abs(fld.msgs[:, 0, 0] - before[:, 0, 0]).max() < cfg.epsilon
+        assert 0 < np.abs(msgs(fld)[:, 0, 0] - before[:, 0, 0]).max() < cfg.epsilon
         assert mask.changed[0, 0] and not mask.active[0, 0]
         assert extract_disparity(vol, fld).labels[0, 0] != labels[0, 0]
 
@@ -555,9 +549,9 @@ class TestEnergyTrace:
         moved, original = [], bp_engine.sweep
 
         def recording(volume, fld, mask, config):
-            before = fld.msgs.copy()
+            before = msgs(fld).copy()
             updated = original(volume, fld, mask, config)
-            moved.append(float(np.abs(fld.msgs - before).max()))
+            moved.append(float(np.abs(msgs(fld) - before).max()))
             return updated
 
         monkeypatch.setattr(bp_engine, "sweep", recording)
@@ -573,9 +567,9 @@ class TestEnergyTrace:
         mask = ConvergenceMask(7, 9)
         assert not mask.changed.any()
         for _ in range(6):
-            before = fld.msgs.copy()
+            before = msgs(fld).copy()
             sweep(vol, fld, mask, BpConfig(epsilon=0.05))
-            assert np.array_equal(mask.changed, (fld.msgs != before).any(axis=(0, 3)))
+            assert np.array_equal(mask.changed, (msgs(fld) != before).any(axis=(0, 3)))
 
 
 class TestExtractDisparity:
@@ -595,8 +589,8 @@ class TestExtractDisparity:
         rng = np.random.default_rng(34)
         vol = CostVolume(rng.integers(0, 3, size=(5, 6, 4)).astype(float))
         fld = MessageField(5, 6, 4)
-        fld.msgs[...] = rng.integers(0, 2, size=fld.msgs.shape)
-        belief = vol.costs + fld.msgs.sum(axis=0)
+        msgs(fld)[...] = rng.integers(0, 2, size=msgs(fld).shape)
+        belief = vol.costs + msgs(fld).sum(axis=0)
         assert np.array_equal(extract_disparity(vol, fld).labels, np.argmin(belief, axis=2))
         # the trace's relabeling keeps the same tie rule
         labels = np.full((5, 6), INVALID, dtype=np.int32)

@@ -176,7 +176,7 @@ def _shifted(img, shift):
 def _scenes():
     rng = np.random.default_rng(21)
     blocks = np.kron(rng.integers(0, 4, (3, 4)) * 85, np.ones((5, 5), dtype=np.int64))
-    stripes = np.tile(rng.integers(0, 256, 18), (11, 1))
+    columns = np.tile(rng.integers(0, 256, 18), (11, 1))
     noise = rng.integers(0, 256, (12, 16))
     # at r = 7, k^2 * sum(l * r) of all-255 windows is 225^2 * 255^2 > 2^31:
     # the int64 path
@@ -187,7 +187,7 @@ def _scenes():
     halves = rng.choice([0, 255], (23, 30))
     return {
         "flat": (blocks, _shifted(blocks, 2), 4, 1),
-        "stripes": (stripes, _shifted(stripes, 3), 5, 1),
+        "columns": (columns, _shifted(columns, 3), 5, 1),
         "gain-0.7": (noise, np.round(0.7 * _shifted(noise, 2)), 4, 2),
         "saturated-r7": (saturated, np.where(rng.random((17, 24)) < 0.8, _shifted(saturated, 1), 0), 3, 7),
         "saturated-r10": (halves, _shifted(halves, 1), 3, 10),
@@ -249,6 +249,20 @@ class TestCostVolumeDtype:
         assert vol.costs.dtype == np.float64
         assert np.array_equal(vol.costs, np.asarray(costs))
         assert vol.costs.transpose(2, 0, 1).flags.c_contiguous
+
+
+class TestCostVolumeValidation:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, -0.5])
+    def test_non_finite_or_negative_cost_rejected(self, dtype, bad):
+        costs = np.ones((3, 4, 2), dtype=dtype)
+        costs[1, 2, 1] = bad
+        with pytest.raises(ValueError, match="costs must be finite and non-negative"):
+            CostVolume(costs)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_zero_costs_accepted(self, dtype):
+        assert not CostVolume(np.zeros((3, 4, 2), dtype=dtype)).costs.any()
 
 
 class TestDownsampleVolume:

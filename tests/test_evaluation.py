@@ -180,6 +180,21 @@ class TestMakeStereogram:
         left, right, _ = make_stereogram(40, 40, 5, 3)
         assert np.array_equal(right.samples[20, 5:25], left.samples[20, 10:30])
 
+    @pytest.mark.parametrize("width", [1, 2, 3])
+    def test_narrow_widths_at_zero_shift(self, width):
+        left, right, truth = make_stereogram(width, 3, 0, 1)
+        assert np.array_equal(left.samples, right.samples)
+        assert truth.labels.shape == (3, width) and np.all(truth.labels == 0)
+
+    def test_width_five_at_shift_one(self):
+        # the rectangle is columns [1, 3) of rows [2, 6)
+        left, right, truth = make_stereogram(5, 8, 1, 4)
+        want = left.samples.copy()
+        want[2:6, 0:2] = left.samples[2:6, 1:3]
+        assert np.array_equal(right.samples, want)
+        assert truth.labels[2:6, 1:3].tolist() == [[1, 1]] * 4
+        assert truth.labels.sum() == 8
+
     def test_invalid_geometry(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"must be in \[0, width/4\)"):
             make_stereogram(16, 16, 4, 0)

@@ -3,6 +3,7 @@ import weakref
 import numpy as np
 import pytest
 
+from bp_reference import msgs
 from stereo_bp import (
     BpConfig,
     CostVolume,
@@ -67,46 +68,45 @@ class TestLiftMessages:
     def test_zero_messages_stay_zero(self):
         coarse = MessageField(1, 1, 3)
         fine = lift_messages(coarse, 2, 2)
-        assert np.all(fine.msgs == 0)
+        assert np.all(msgs(fine) == 0)
 
     def test_block_copy(self):
         coarse = MessageField(1, 1, 2)
-        coarse.msgs[0, 0, 0] = [0.0, 2.0]
+        msgs(coarse)[0, 0, 0] = [0.0, 2.0]
         fine = lift_messages(coarse, 2, 2)
         for y in range(2):
             for x in range(2):
-                assert fine.msgs[0, y, x].tolist() == [0.0, 2.0]
+                assert msgs(fine)[0, y, x].tolist() == [0.0, 2.0]
 
     def test_every_fine_vector_equals_parent(self):
         rng = np.random.default_rng(5)
         coarse = MessageField(3, 4, 3)
-        coarse.msgs[...] = rng.uniform(0, 2, size=coarse.msgs.shape)
-        coarse.msgs[...] -= coarse.msgs.min(axis=-1, keepdims=True)
+        msgs(coarse)[...] = rng.uniform(0, 2, size=msgs(coarse).shape)
+        msgs(coarse)[...] -= msgs(coarse).min(axis=-1, keepdims=True)
         fine = lift_messages(coarse, 5, 7)
         for y in range(5):
             for x in range(7):
                 for s in range(4):
                     assert np.array_equal(
-                        fine.msgs[s, y, x], coarse.msgs[s, y // 2, x // 2]
+                        msgs(fine)[s, y, x], msgs(coarse)[s, y // 2, x // 2]
                     )
 
     def test_preserves_min_normalization(self):
         rng = np.random.default_rng(6)
         coarse = MessageField(2, 2, 4)
-        coarse.msgs[...] = rng.uniform(0, 1, size=coarse.msgs.shape)
-        coarse.msgs[...] -= coarse.msgs.min(axis=-1, keepdims=True)
+        msgs(coarse)[...] = rng.uniform(0, 1, size=msgs(coarse).shape)
+        msgs(coarse)[...] -= msgs(coarse).min(axis=-1, keepdims=True)
         fine = lift_messages(coarse, 4, 4)
-        assert np.allclose(fine.msgs.min(axis=-1), 0.0)
+        assert np.allclose(msgs(fine).min(axis=-1), 0.0)
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_keeps_the_coarse_dtype(self, dtype):
         rng = np.random.default_rng(7)
         coarse = MessageField(2, 3, 4, dtype)
-        coarse.msgs[...] = rng.uniform(0, 2, size=coarse.msgs.shape)
+        msgs(coarse)[...] = rng.uniform(0, 2, size=msgs(coarse).shape)
         fine = lift_messages(coarse, 3, 6)
-        assert fine.msgs.dtype == dtype
-        assert fine.msgs.transpose(0, 3, 1, 2).flags.c_contiguous
-        assert np.array_equal(fine.msgs, coarse.msgs[:, [0, 0, 1]][:, :, [0, 0, 1, 1, 2, 2]])
+        assert fine.planes.dtype == dtype and fine.planes.flags.c_contiguous
+        assert np.array_equal(msgs(fine), msgs(coarse)[:, [0, 0, 1]][:, :, [0, 0, 1, 1, 2, 2]])
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
@@ -157,7 +157,7 @@ class TestRunHierarchical:
         seen = []
 
         def record(volume, fld, *args, **kwargs):
-            seen.append((volume.costs.dtype, fld.msgs.dtype))
+            seen.append((volume.costs.dtype, fld.planes.dtype))
             return run_bp(volume, fld, *args, **kwargs)
 
         monkeypatch.setattr("stereo_bp.hierarchy.run_bp", record)
@@ -207,7 +207,7 @@ class TestRunHierarchical:
 
         (got_fld, _), (want_fld, _) = runs[0][-1], runs[1][-1]
         assert np.array_equal(got.labels, want.labels)
-        assert np.array_equal(got_fld.msgs, want_fld.msgs)
+        assert np.array_equal(msgs(got_fld), msgs(want_fld))
         got_updates, want_updates = (sum(t for _, t in run) for run in runs)
         assert got_updates < want_updates
 

@@ -51,6 +51,27 @@ def test_malformed_headers(tmp_path, body):
         read_pgm(path)
 
 
+def test_p5_needs_a_whitespace_byte_after_maxval(tmp_path):
+    # a comment there would otherwise be read as raster bytes
+    path = tmp_path / "bad.pgm"
+    path.write_bytes(b"P5\n3 2\n255#c\n" + bytes(range(6)))
+    with pytest.raises(PgmError, match="whitespace byte after maxval") as err:
+        read_pgm(path)
+    assert err.value.offset == 10
+
+
+@pytest.mark.parametrize(
+    "body, offset",
+    [(b"P5\nx 1\n255\n\x00", 3), (b"P5\n1 x\n255\n\x00", 5), (b"P5\n1 1\nx\n\x00", 7)],
+)
+def test_non_numeric_header_field_reports_its_offset(tmp_path, body, offset):
+    path = tmp_path / "bad.pgm"
+    path.write_bytes(body)
+    with pytest.raises(PgmError, match="non-numeric header field") as err:
+        read_pgm(path)
+    assert err.value.offset == offset
+
+
 def test_missing_file():
     with pytest.raises(FileNotFoundError):
         read_pgm("/nonexistent/image.pgm")
