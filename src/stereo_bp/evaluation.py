@@ -79,7 +79,7 @@ def make_stereogram(width, height, shift, seed):
     left = rng.integers(0, 256, size=(height, width), dtype=np.uint8)
     right = left.copy()
     x0, x1 = width // 4, 3 * width // 4
-    y0, y1 = height // 4, 3 * height // 4
+    y0, y1 = height // 4, max(3 * height // 4, height // 4 + 1)  # one row at height 1
     right[y0:y1, x0 - shift : x1 - shift] = left[y0:y1, x0:x1]
     truth = np.zeros((height, width), dtype=np.int32)
     truth[y0:y1, x0:x1] = shift

@@ -3,18 +3,24 @@
 Images and disparity maps travel as PGM files (maxval <= 255; P2 ASCII or
 P5 binary is read, P5 is written) so every experiment is reproducible
 bit-exactly from files on disk. Headers follow the Netpbm rules:
-whitespace-delimited tokens, '#' comments allowed anywhere before the
-raster, and in P5 exactly one whitespace byte between maxval and the raster.
+whitespace-delimited tokens, '#' comments to the end of the line anywhere
+in a P2 file and before a P5 raster, and in P5 exactly one whitespace byte
+between maxval and the raster.
 """
 
 from __future__ import annotations
 
-import os
-from dataclasses import dataclass, field
+import re
+from dataclasses import dataclass
 
 import numpy as np
 
 INVALID = -1
+
+# One PGM token: skip whitespace and '#' comments, each comment running to the
+# end of its line, then take the run of bytes that are neither. Match it
+# anchored at a position; a search would start a token inside a comment.
+_TOKEN = re.compile(rb"(?:\s|#[^\r\n]*(?![^\r\n]))*([^\s#]*)")
 
 
 class PgmError(ValueError):
@@ -79,37 +85,27 @@ class DisparityMap:
         return self.labels.shape[0]
 
 
-def _tokenize_header(data, count):
-    """Yield `count` whitespace-delimited tokens from the start of `data`,
-    skipping '#' comments. Returns (tokens, offset_past_last_token)."""
-    tokens = []
-    i = 0
-    n = len(data)
-    while len(tokens) < count:
-        while i < n and data[i : i + 1].isspace():
-            i += 1
-        if i < n and data[i : i + 1] == b"#":
-            while i < n and data[i : i + 1] not in (b"\n", b"\r"):
-                i += 1
-            continue
-        if i >= n:
-            raise PgmError("unexpected end of header", offset=i)
-        start = i
-        while i < n and not data[i : i + 1].isspace() and data[i : i + 1] != b"#":
-            i += 1
-        tokens.append((data[start:i], start))
-    return tokens, i
+def _tokens(data, pos, count, short):
+    """`count` matches of _TOKEN from byte `pos` on, group 1 of each a token;
+    PgmError(`short`) at the end of `data` if it runs out of tokens first."""
+    matches = []
+    for _ in range(count):
+        m = _TOKEN.match(data, pos)
+        if not m[1]:  # nothing but whitespace and comments left
+            raise PgmError(short, offset=len(data))
+        matches.append(m)
+        pos = m.end()
+    return matches
 
 
-def _ints(tokens, what, base=0):
-    """The values of (token, offset) pairs as ints; PgmError at the offset,
-    shifted by `base`, of the first token that is not one."""
+def _ints(matches, what):
+    """The tokens of `matches` as ints; PgmError at the first that is not one."""
     values = []
-    for tok, off in tokens:
+    for m in matches:
         try:
-            values.append(int(tok))
+            values.append(int(m[1]))
         except ValueError:
-            raise PgmError(f"non-numeric {what} {tok!r}", offset=base + off) from None
+            raise PgmError(f"non-numeric {what} {m[1]!r}", offset=m.start(1)) from None
     return values
 
 
@@ -120,22 +116,24 @@ def read_pgm(path):
     PgmError (with byte offset) on malformed input, FileNotFoundError if
     the file is missing.
     """
-    if not os.path.exists(path):
-        raise FileNotFoundError(f"no such file: {path}")
-    with open(path, "rb") as fp:
-        data = fp.read()
+    try:
+        with open(path, "rb") as fp:
+            data = fp.read()
+    except FileNotFoundError:
+        raise FileNotFoundError(f"no such file: {path}") from None
 
-    tokens, body_start = _tokenize_header(data, 4)
-    (magic, magic_off), (_, w_off), _, (_, mv_off) = tokens
+    header = _tokens(data, 0, 4, "unexpected end of header")
+    magic = header[0][1]
     if magic not in (b"P2", b"P5"):
-        raise PgmError(f"not a PGM file (magic {magic!r})", offset=magic_off)
-    width, height, maxval = _ints(tokens[1:], "header field")
+        raise PgmError(f"not a PGM file (magic {magic!r})", offset=header[0].start(1))
+    width, height, maxval = _ints(header[1:], "header field")
     if width < 1 or height < 1:
-        raise PgmError(f"bad dimensions {width}x{height}", offset=w_off)
+        raise PgmError(f"bad dimensions {width}x{height}", offset=header[1].start(1))
     if not 0 < maxval <= 255:
-        raise PgmError(f"unsupported maxval {maxval}", offset=mv_off)
+        raise PgmError(f"unsupported maxval {maxval}", offset=header[3].start(1))
 
     npix = width * height
+    body_start = header[3].end()
     if magic == b"P5":
         # exactly one whitespace byte separates maxval from the raster
         if not data[body_start : body_start + 1].isspace():
@@ -148,13 +146,8 @@ def read_pgm(path):
             )
         samples = np.frombuffer(body[:npix], dtype=np.uint8)
     else:
-        try:
-            tokens, _ = _tokenize_header(data[body_start:], npix)
-        except PgmError as err:
-            raise PgmError(
-                "truncated raster", offset=body_start + (err.offset or 0)
-            ) from None
-        samples = np.array(_ints(tokens, "sample", body_start), dtype=np.int64)
+        raster = _tokens(data, body_start, npix, "truncated raster")
+        samples = np.array(_ints(raster, "sample"), dtype=np.int64)
     if samples.min() < 0 or samples.max() > maxval:
         raise PgmError("sample outside [0, maxval]", offset=body_start)
     return GrayImage(samples.astype(np.uint8).reshape(height, width))

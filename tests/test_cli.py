@@ -381,6 +381,12 @@ class TestEdgeShapes:
         assert labels.shape == (height, width)
         assert labels.min() >= 0 and labels.max() < levels
 
+    def test_one_row_stereogram_scores(self, tmp_path, capsys):
+        paths = _synth(tmp_path, width=32, height=1, shift=3)
+        assert np.all(read_disparity_pgm(paths["truth"], 8).labels[0, 8:24] == 3)
+        assert _match(paths, tmp_path / "o.pgm", "--truth", str(paths["truth"])) == 0
+        assert capsys.readouterr().out.count(",") == 4
+
     def test_scale_past_one_pixel_exits_one(self, tmp_path, capsys, monkeypatch):
         def no_volume(*args):
             raise AssertionError("the depth is checked before the cost volume")

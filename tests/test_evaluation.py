@@ -195,6 +195,14 @@ class TestMakeStereogram:
         assert truth.labels[2:6, 1:3].tolist() == [[1, 1]] * 4
         assert truth.labels.sum() == 8
 
+    def test_height_one_keeps_the_rectangle(self):
+        # the rectangle is columns [2, 6) of the one row
+        left, right, truth = make_stereogram(8, 1, 1, 0)
+        want = left.samples.copy()
+        want[0, 1:5] = left.samples[0, 2:6]
+        assert np.array_equal(right.samples, want)
+        assert truth.labels.tolist() == [[0, 0, 1, 1, 1, 1, 0, 0]]
+
     def test_invalid_geometry(self):
         with pytest.raises(ValueError, match=r"must be in \[0, width/4\)"):
             make_stereogram(16, 16, 4, 0)

@@ -72,6 +72,45 @@ def test_non_numeric_header_field_reports_its_offset(tmp_path, body, offset):
     assert err.value.offset == offset
 
 
+@pytest.mark.parametrize(
+    "body, message",
+    [
+        (b"P5\n1 1\n# no maxval", "unexpected end of header"),
+        (b"P2\n2 2\n255\n1 2\n3 # no fourth sample", "truncated raster"),
+    ],
+)
+def test_running_out_of_tokens_reports_the_end(tmp_path, body, message):
+    # a token is never taken from inside a comment
+    path = tmp_path / "short.pgm"
+    path.write_bytes(body)
+    with pytest.raises(PgmError, match=message) as err:
+        read_pgm(path)
+    assert err.value.offset == len(body)
+
+
+@pytest.mark.parametrize(
+    "p2",
+    [
+        b"P2\r2 2\r255\r0 255 # first row\r# between rows\r128\r7\r",
+        b"P2\n2 2\n255#c\n0 255 128 7",
+    ],
+)
+def test_p2_comments_and_line_ends_decode_like_p5(tmp_path, p2):
+    p5 = tmp_path / "a.pgm"
+    p5.write_bytes(b"P5\n2 2\n255\n" + bytes([0, 255, 128, 7]))
+    path = tmp_path / "b.pgm"
+    path.write_bytes(p2)
+    assert np.array_equal(read_pgm(path).samples, read_pgm(p5).samples)
+
+
+def test_non_numeric_p2_sample_reports_its_offset(tmp_path):
+    path = tmp_path / "bad.pgm"
+    path.write_bytes(b"P2\n3 1\n255\n4 # 5\n6 x7\n")
+    with pytest.raises(PgmError, match="non-numeric sample b'x7'") as err:
+        read_pgm(path)
+    assert err.value.offset == 19
+
+
 def test_missing_file():
     with pytest.raises(FileNotFoundError):
         read_pgm("/nonexistent/image.pgm")
