@@ -14,8 +14,8 @@ bit: messages, deltas and labels are those of the standard schedule that
 recomputes every pixel every sweep, and a run stops early only at an
 exact fixed point.
 
-Costs keep their (H, W, L) shape but are stored label-major, as are the
-(4, L, H, W) messages, so every step works on whole label planes: the
+Costs and messages share one label-major layout, the (L, H, W) costs and
+the (4, L, H, W) messages, so every step works on whole label planes: the
 min-convolution runs along the label axis plane by plane.
 
 A sweep goes through its active senders in ascending flat order, in
@@ -162,7 +162,7 @@ def _belief(costs, msgs):
 def _planes(volume, fld):
     """Costs as (L, H*W) and messages as (4, L, H*W) label-major planes,
     views of their storage."""
-    return (volume.costs.transpose(2, 0, 1).reshape(volume.levels, -1),
+    return (volume.costs.reshape(volume.levels, -1),
             fld.planes.reshape(4, fld.levels, -1))
 
 
@@ -355,18 +355,17 @@ def labeling_energy(volume, disparity, params):
     """Data energy of the labeling plus truncated-linear smoothness over
     all 4-connected neighbor pairs (each pair counted once)."""
     labels = disparity.labels
-    if labels.shape != volume.costs.shape[:2]:
+    if labels.shape != volume.costs.shape[1:]:
         raise ValueError("labeling and cost volume dimensions disagree")
     if (labels == INVALID).any():
         raise ValueError("labeling contains INVALID pixels")
-    h, w, levels = volume.costs.shape
+    levels, h, w = volume.costs.shape
     if labels.min() < 0 or labels.max() >= levels:
         raise ValueError(f"labeling has labels outside [0, {levels})")
-    # each pixel's cost read from its label's plane of the label-major
-    # storage; accumulated in float64, as a float32 sum over a whole frame
-    # loses digits
+    # each pixel's cost read from its label's plane; accumulated in
+    # float64, as a float32 sum over a whole frame loses digits
     at = labels.astype(np.intp).reshape(-1) * (h * w) + np.arange(h * w)
-    data = np.take(volume.costs.transpose(2, 0, 1), at).reshape(h, w).sum(dtype=np.float64)
+    data = np.take(volume.costs, at).reshape(h, w).sum(dtype=np.float64)
     s, t = params.slope, params.truncation
     dh = np.minimum(s * np.abs(labels[:, 1:] - labels[:, :-1]), t).sum()
     dv = np.minimum(s * np.abs(labels[1:, :] - labels[:-1, :]), t).sum()

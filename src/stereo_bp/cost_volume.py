@@ -29,9 +29,10 @@ class NccParams:
 @dataclass
 class CostVolume:
     """Per-pixel matching costs over every disparity in [0, levels):
-    a finite, non-negative (height, width, levels) float32 or float64
-    array, stored label-major. A float32 array stays float32; anything
-    else is converted to float64. Messages take the volume's dtype."""
+    a finite, non-negative, C-contiguous label-major (levels, height,
+    width) float32 or float64 array, one (H, W) plane per disparity. A
+    float32 array stays float32; anything else is converted to float64.
+    Messages take the volume's dtype."""
 
     costs: np.ndarray
 
@@ -40,24 +41,22 @@ class CostVolume:
         if c.dtype != np.float32:
             c = c.astype(np.float64, copy=False)
         if c.ndim != 3:
-            raise ValueError("costs must be (height, width, levels)")
-        # Stored label-major: costs.transpose(2, 0, 1) is a C-contiguous
-        # (L, H, W) array, so BP reads whole (H, W) planes per label.
-        self.costs = np.ascontiguousarray(c.transpose(2, 0, 1)).transpose(1, 2, 0)
+            raise ValueError("costs must be (levels, height, width)")
+        self.costs = np.ascontiguousarray(c)
         if not (self.costs.min() >= 0 and self.costs.max() < np.inf):  # NaN fails >=
             raise ValueError("costs must be finite and non-negative")
 
     @property
     def height(self):
-        return self.costs.shape[0]
-
-    @property
-    def width(self):
         return self.costs.shape[1]
 
     @property
-    def levels(self):
+    def width(self):
         return self.costs.shape[2]
+
+    @property
+    def levels(self):
+        return self.costs.shape[0]
 
 
 def _box_sums(arr, k):
@@ -73,9 +72,9 @@ def _box_sums(arr, k):
 
 
 def build_cost_volume(left, right, levels, params):
-    """Build the (H, W, L) truncated NCC cost volume with the left view as
+    """Build the (L, H, W) truncated NCC cost volume with the left view as
     reference: disparity d matches left (x, y) to right (x - d, y), and fills
-    one (H, W) plane of the label-major storage. With k = 2r + 1,
+    the volume's (H, W) plane d. With k = 2r + 1,
     NCC = (k²Σlr − ΣlΣr) / sqrt(Vl·Vr), where Vl = k²Σl² − (Σl)². Window
     sums, numerator and variances are exact integers (int32, or int64 once
     k²·k²·255² reaches 2³¹). Only Vl·Vr, the sqrt and the division round, in
@@ -111,19 +110,18 @@ def build_cost_volume(left, right, levels, params):
             np.subtract(1.0, num, out=num)
             np.multiply(num, params.data_weight, out=num)
             np.minimum(num, params.data_truncation, out=costs[d, r : r + ih, r + d : w - r])
-    return CostVolume(costs.transpose(1, 2, 0))
+    return CostVolume(costs)
 
 
 def downsample_volume(volume):
     """Coarsen by summing costs over 2x2 blocks (ceil-halved dimensions,
     same disparity range and dtype). Each block is summed as
-    ((a00 + a01) + a10) + a11 on the label-major planes; a block cut short
-    by an odd edge leaves out the pixels it lacks, as adding 0 would, and
-    no padded copy of the volume is made."""
-    h, w, _ = volume.costs.shape
-    fine = volume.costs.transpose(2, 0, 1)
+    ((a00 + a01) + a10) + a11 on the label planes; a block cut short by
+    an odd edge leaves out the pixels it lacks, as adding 0 would, and no
+    padded copy of the volume is made."""
+    fine, h, w = volume.costs, volume.height, volume.width
     coarse = fine[:, 0::2, 0::2].copy()
     coarse[:, :, : w // 2] += fine[:, 0::2, 1::2]
     coarse[:, : h // 2, :] += fine[:, 1::2, 0::2]
     coarse[:, : h // 2, : w // 2] += fine[:, 1::2, 1::2]
-    return CostVolume(coarse.transpose(1, 2, 0))
+    return CostVolume(coarse)

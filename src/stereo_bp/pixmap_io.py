@@ -62,6 +62,8 @@ class GrayImage:
 @dataclass
 class DisparityMap:
     """Integer disparity labels per pixel; INVALID (-1) marks unknown pixels.
+    Labels must be integral values in [INVALID, 2**31); they are never
+    wrapped or truncated.
 
     scale_factor is the output encoding multiplier: gray = label * scale_factor.
     """
@@ -70,9 +72,16 @@ class DisparityMap:
     scale_factor: int = 1
 
     def __post_init__(self):
-        self.labels = np.asarray(self.labels, dtype=np.int32)
-        if self.labels.ndim != 2 or self.labels.size == 0:
+        labels = np.asarray(self.labels)
+        if labels.ndim != 2 or labels.size == 0:
             raise ValueError("DisparityMap needs a non-empty 2-D label array")
+        if labels.dtype == np.int32:
+            ok = labels.min() >= INVALID
+        else:  # NaN fails all three
+            ok = np.all((labels >= INVALID) & (labels < 2**31) & (labels == np.floor(labels)))
+        if not ok:
+            raise ValueError(f"DisparityMap labels must be integers in [{INVALID}, 2**31)")
+        self.labels = labels.astype(np.int32, copy=False)
         if self.scale_factor < 1:
             raise ValueError("scale_factor must be >= 1")
 
@@ -99,14 +108,12 @@ def _tokens(data, pos, count, short):
 
 
 def _ints(matches, what):
-    """The tokens of `matches` as ints; PgmError at the first that is not one."""
-    values = []
+    """The tokens of `matches` as ints; PgmError at the first that is not
+    all ASCII decimal digits (no sign, no '_')."""
     for m in matches:
-        try:
-            values.append(int(m[1]))
-        except ValueError:
-            raise PgmError(f"non-numeric {what} {m[1]!r}", offset=m.start(1)) from None
-    return values
+        if not m[1].isdigit():
+            raise PgmError(f"non-numeric {what} {m[1]!r}", offset=m.start(1))
+    return [int(m[1]) for m in matches]
 
 
 def read_pgm(path):
@@ -148,7 +155,7 @@ def read_pgm(path):
     else:
         raster = _tokens(data, body_start, npix, "truncated raster")
         samples = np.array(_ints(raster, "sample"), dtype=np.int64)
-    if samples.min() < 0 or samples.max() > maxval:
+    if samples.max() > maxval:
         raise PgmError("sample outside [0, maxval]", offset=body_start)
     return GrayImage(samples.astype(np.uint8).reshape(height, width))
 

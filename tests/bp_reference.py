@@ -12,8 +12,9 @@
   rebuilt after each sweep.
 - `exact_map_chain`, `exact_map_grid_small`: exact MAP on a chain
   (Viterbi) and on a tiny grid (exhaustive search).
-- `msgs`: a message field as a pixel-major (4, H, W, L) view, the layout
-  the references index messages in.
+- `msgs`, `pixel_costs`: a message field as a pixel-major (4, H, W, L)
+  view and a cost volume as a pixel-major (H, W, L) view, the layouts the
+  references index in; `pixel_volume` builds a volume from (H, W, L) costs.
 
 Only the data types, the slot numbers, `labeling_energy` and the
 min-convolution kernel come from `stereo_bp`.
@@ -23,7 +24,7 @@ import itertools
 
 import numpy as np
 
-from stereo_bp import DisparityMap, GrayImage, labeling_energy
+from stereo_bp import CostVolume, DisparityMap, GrayImage, labeling_energy
 from stereo_bp.bp_engine import (
     FROM_DOWN,
     FROM_LEFT,
@@ -51,6 +52,17 @@ def msgs(fld):
     to a length-L vector: a view of its label-major planes, which writes
     through to them."""
     return fld.planes.transpose(0, 2, 3, 1)
+
+
+def pixel_costs(volume):
+    """The costs of `volume` as an (H, W, L) array, indexed [y, x] to a
+    length-L vector: a view of its label-major planes."""
+    return volume.costs.transpose(1, 2, 0)
+
+
+def pixel_volume(costs):
+    """A CostVolume from pixel-major (H, W, L) costs."""
+    return CostVolume(np.moveaxis(np.asarray(costs), -1, 0))
 
 
 def smoothness_cost(a, b, params):
@@ -90,7 +102,7 @@ def update_message(x, y, direction, volume, fld, params):
     if not (0 <= x + dx < fld.width and 0 <= y + dy < fld.height):
         raise ValueError(f"pixel ({x}, {y}) has no neighbor in direction {direction}")
     incoming = msgs(fld)[:, y, x]
-    h = volume.costs[y, x] + incoming.sum(axis=0) - incoming[BACK[direction]]
+    h = pixel_costs(volume)[y, x] + incoming.sum(axis=0) - incoming[BACK[direction]]
     return _minconv_truncated_linear(h, params.slope, params.truncation)
 
 
@@ -197,7 +209,7 @@ def exact_map_grid_small(volume, params):
     """Exhaustive MAP over all labelings of a tiny grid; ties resolve to
     the lexicographically smallest labeling (row-major pixel order).
     Guarded to L^(W*H) <= 1e7 instances."""
-    h, w, levels = volume.costs.shape
+    h, w, levels = pixel_costs(volume).shape
     if levels ** (h * w) > 10**7:
         raise ValueError(f"{w}x{h} grid with {levels} labels is too large to enumerate")
     best_labels = None

@@ -14,6 +14,7 @@ from bp_reference import (
     jacobi_bp,
     msgs,
     ncc_score,
+    pixel_volume,
     scheduled_bp,
 )
 from stereo_bp import (
@@ -57,7 +58,7 @@ def test_tree_exactness():
         n = int(rng.integers(1, 17))
         levels = int(rng.integers(1, 9))
         costs = rng.uniform(0, 10, size=(n, levels))
-        vol = CostVolume(costs.reshape(1, n, levels))
+        vol = pixel_volume(costs.reshape(1, n, levels))
         fld, _ = _run_flat(vol, n, 0.0, smooth)
         dm = extract_disparity(vol, fld)
         want_labels, want_energy = exact_map_chain(costs, smooth)
@@ -79,7 +80,7 @@ def test_brute_force_optimality_bound():
         h = int(rng.integers(1, 4))
         w = int(rng.integers(1, 4))
         levels = int(rng.integers(1, 4))
-        vol = CostVolume(rng.uniform(0, 5, size=(h, w, levels)))
+        vol = pixel_volume(rng.uniform(0, 5, size=(h, w, levels)))
         smooth = SmoothnessParams(slope=0.0 if i % 2 == 0 else 1.0, truncation=2.0)
         _, opt_energy = exact_map_grid_small(vol, smooth)
         fld, _ = _run_flat(vol, 10, 0.0, smooth)
@@ -102,8 +103,8 @@ def test_fast_full_equivalence_and_work():
     fewer = 0
     for seed in range(20):
         rng = np.random.default_rng(3000 + seed)
-        vol = CostVolume(rng.uniform(0, 1, size=(32, 32, 4)))
-        small = CostVolume(rng.uniform(0, 1, size=(8, 8, 4)))
+        vol = pixel_volume(rng.uniform(0, 1, size=(32, 32, 4)))
+        small = pixel_volume(rng.uniform(0, 1, size=(8, 8, 4)))
         fld_ref = jacobi_bp(small, 10, smooth)
         fld_fast0, total0 = _run_flat(small, 10, 0.0, smooth)
         if (not np.array_equal(msgs(fld_ref), msgs(fld_fast0))
@@ -191,7 +192,7 @@ def test_invariant_suite(stereogram_run, tmp_path):
     rng = np.random.default_rng(4000)
 
     # message min-0 normalization after every sweep
-    vol = CostVolume(rng.uniform(0, 1, size=(10, 10, 4)))
+    vol = pixel_volume(rng.uniform(0, 1, size=(10, 10, 4)))
     fld = MessageField(10, 10, 4)
     from stereo_bp.bp_engine import ConvergenceMask, sweep
 
@@ -230,10 +231,10 @@ def test_invariant_suite(stereogram_run, tmp_path):
     checks["ncc range + affine invariance"] = ncc_ok
 
     # pyramid cost-mass conservation per disparity
-    mass = stereogram_run["volume"].costs.sum(axis=(0, 1))
+    mass = stereogram_run["volume"].costs.sum(axis=(1, 2))
     pyr = build_pyramid(stereogram_run["volume"], 4)
     checks["pyramid cost-mass conservation"] = all(
-        np.allclose(level.costs.sum(axis=(0, 1)), mass) for level in pyr
+        np.allclose(level.costs.sum(axis=(1, 2)), mass) for level in pyr
     )
 
     # PGM round-trip identity: P5 as write_pgm writes it, P2 written here

@@ -8,6 +8,8 @@ from bp_reference import (
     exact_map_chain,
     jacobi_bp,
     msgs,
+    pixel_costs,
+    pixel_volume,
     scheduled_bp,
     scheduled_sweep,
     smoothness_cost,
@@ -15,7 +17,6 @@ from bp_reference import (
 )
 from stereo_bp import (
     BpConfig,
-    CostVolume,
     NccParams,
     PyramidConfig,
     SmoothnessParams,
@@ -43,7 +44,7 @@ from stereo_bp.pixmap_io import INVALID, DisparityMap
 
 def _chain_volume(costs):
     costs = np.asarray(costs, dtype=float)
-    return CostVolume(costs.reshape(1, *costs.shape))
+    return pixel_volume(costs.reshape(1, *costs.shape))
 
 
 def _run(volume, sweeps, epsilon=0.0, smooth=None):
@@ -85,27 +86,27 @@ class TestSmoothnessCost:
 
 class TestUpdateMessage:
     def test_all_zero_inputs_give_zero_vector(self):
-        vol = CostVolume(np.zeros((3, 3, 4)))
+        vol = pixel_volume(np.zeros((3, 3, 4)))
         fld = MessageField(3, 3, 4)
         msg = update_message(1, 1, FROM_LEFT, vol, fld, SmoothnessParams())
         assert np.allclose(msg, 0.0)
 
     def test_two_label_hand_evaluation(self):
         # data at p = {0, 5}, s=1, T=10, no incoming: raw {0, 1}
-        vol = CostVolume(np.array([[[0.0, 5.0], [0.0, 0.0]]]))
+        vol = pixel_volume(np.array([[[0.0, 5.0], [0.0, 0.0]]]))
         fld = MessageField(1, 2, 2)
         msg = update_message(0, 0, FROM_LEFT, vol, fld, SmoothnessParams(1.0, 10.0))
         assert msg.tolist() == [0.0, 1.0]
 
     def test_missing_neighbor_rejected(self):
-        vol = CostVolume(np.zeros((2, 2, 2)))
+        vol = pixel_volume(np.zeros((2, 2, 2)))
         fld = MessageField(2, 2, 2)
         with pytest.raises(ValueError):
             update_message(1, 0, FROM_LEFT, vol, fld, SmoothnessParams())
 
     def test_agrees_with_brute_force_min(self):
         rng = np.random.default_rng(21)
-        vol = CostVolume(rng.uniform(0, 5, size=(3, 3, 4)))
+        vol = pixel_volume(rng.uniform(0, 5, size=(3, 3, 4)))
         fld = MessageField(3, 3, 4)
         msgs(fld)[...] = rng.uniform(0, 2, size=msgs(fld).shape)
         p = SmoothnessParams(0.8, 1.7)
@@ -114,7 +115,7 @@ class TestUpdateMessage:
         raw = np.array(
             [
                 min(
-                    vol.costs[1, 1, dp] + smoothness_cost(dp, dq, p) + incoming[dp]
+                    vol.costs[dp, 1, 1] + smoothness_cost(dp, dq, p) + incoming[dp]
                     for dp in range(4)
                 )
                 for dq in range(4)
@@ -138,7 +139,7 @@ class TestMessageField:
 class TestSweep:
     def test_messages_min_normalized_after_sweep(self):
         rng = np.random.default_rng(22)
-        vol = CostVolume(rng.uniform(0, 1, size=(6, 7, 3)))
+        vol = pixel_volume(rng.uniform(0, 1, size=(6, 7, 3)))
         fld = MessageField(6, 7, 3)
         mask = ConvergenceMask(6, 7)
         cfg = BpConfig(epsilon=0.0)
@@ -149,7 +150,7 @@ class TestSweep:
 
     def test_border_slots_stay_zero(self):
         rng = np.random.default_rng(23)
-        vol = CostVolume(rng.uniform(0, 1, size=(4, 5, 3)))
+        vol = pixel_volume(rng.uniform(0, 1, size=(4, 5, 3)))
         fld, _, _ = _run(vol, 4)
         assert np.all(msgs(fld)[FROM_LEFT, :, 0] == 0)
         assert np.all(msgs(fld)[FROM_RIGHT, :, -1] == 0)
@@ -159,7 +160,7 @@ class TestSweep:
     def test_unambiguous_data_term_converges_fast(self):
         costs = np.full((5, 5, 3), 1.0)
         costs[:, :, 0] = 0.0
-        vol = CostVolume(costs)
+        vol = pixel_volume(costs)
         fld = MessageField(5, 5, 3)
         mask = ConvergenceMask(5, 5)
         cfg = BpConfig(epsilon=1e-3, smoothness=SmoothnessParams(1.0, 1.0))
@@ -172,7 +173,7 @@ class TestSweep:
 
     def test_fast_epsilon_zero_matches_full_bitwise(self):
         rng = np.random.default_rng(24)
-        vol = CostVolume(rng.uniform(0, 1, size=(8, 8, 3)))
+        vol = pixel_volume(rng.uniform(0, 1, size=(8, 8, 3)))
         fld_ref = jacobi_bp(vol, 12, SmoothnessParams())
         fld_fast, total, _ = _run(vol, 12, epsilon=0.0)
         assert np.array_equal(msgs(fld_ref), msgs(fld_fast))
@@ -183,7 +184,7 @@ class TestSweep:
 
     def test_fast_does_not_exceed_full_work(self):
         rng = np.random.default_rng(25)
-        vol = CostVolume(rng.uniform(0, 1, size=(8, 8, 3)))
+        vol = pixel_volume(rng.uniform(0, 1, size=(8, 8, 3)))
         _, full_total, _ = _run(vol, 30, epsilon=0.0)
         _, fast_total, _ = _run(vol, 30, epsilon=1e-3)
         assert fast_total <= full_total
@@ -193,7 +194,7 @@ class TestSweep:
         # every message is computed from the field as it was before the sweep
         rng = np.random.default_rng(30)
         h, w, levels = 5, 6, 4
-        vol = CostVolume(rng.uniform(0, 2, size=(h, w, levels)))
+        vol = pixel_volume(rng.uniform(0, 2, size=(h, w, levels)))
         fld = MessageField(h, w, levels)
         msgs(fld)[...] = rng.uniform(0, 2, size=msgs(fld).shape)
         before = MessageField(h, w, levels)
@@ -211,7 +212,7 @@ class TestSweep:
     def test_fast_sweep_recomputes_only_active_senders(self):
         rng = np.random.default_rng(31)
         h, w, levels = 6, 7, 3
-        vol = CostVolume(rng.uniform(0, 2, size=(h, w, levels)))
+        vol = pixel_volume(rng.uniform(0, 2, size=(h, w, levels)))
         fld = MessageField(h, w, levels)
         msgs(fld)[...] = rng.uniform(0, 2, size=msgs(fld).shape)
         before = MessageField(h, w, levels)
@@ -237,7 +238,7 @@ class TestSweep:
     @pytest.mark.parametrize("shape", [(1, 17), (17, 1)])
     def test_fast_epsilon_zero_matches_full_on_lines(self, shape):
         rng = np.random.default_rng(32)
-        vol = CostVolume(rng.uniform(0, 1, size=(*shape, 5)))
+        vol = pixel_volume(rng.uniform(0, 1, size=(*shape, 5)))
         fld_ref = jacobi_bp(vol, 20, SmoothnessParams())
         fld_fast, total, _ = _run(vol, 20, epsilon=0.0)
         assert np.array_equal(msgs(fld_ref), msgs(fld_fast))
@@ -249,7 +250,7 @@ class TestSweep:
         # Costs in quarters keep every sum exact: with rounding, a message
         # that adds and then removes its receiver's message can jitter in
         # the last bit forever
-        vol = CostVolume(np.random.default_rng(37).integers(0, 8, size=(1, 17, 5)) / 4)
+        vol = pixel_volume(np.random.default_rng(37).integers(0, 8, size=(1, 17, 5)) / 4)
         fld = MessageField(1, 17, 5)
         trace = []
         run_bp(vol, fld, BpConfig(epsilon=0.0), 60, trace=trace)
@@ -258,7 +259,7 @@ class TestSweep:
         assert np.array_equal(msgs(fld), msgs(jacobi_bp(vol, 60, SmoothnessParams())))
 
     def test_dimension_mismatch(self):
-        vol = CostVolume(np.zeros((3, 3, 2)))
+        vol = pixel_volume(np.zeros((3, 3, 2)))
         fld = MessageField(3, 4, 2)
         with pytest.raises(ValueError):
             sweep(vol, fld, ConvergenceMask(3, 4), BpConfig())
@@ -274,7 +275,7 @@ class TestSchedule:
     @pytest.mark.parametrize("case", SCHEDULE_CASES)
     def test_matches_scalar_scheduled_reference(self, case, epsilon):
         h, w, levels, seed = case
-        vol = CostVolume(np.random.default_rng(seed).uniform(0, 1, size=(h, w, levels)))
+        vol = pixel_volume(np.random.default_rng(seed).uniform(0, 1, size=(h, w, levels)))
         want_fld, want_masks, want_total = scheduled_bp(vol, 12, SmoothnessParams(), epsilon)
 
         fld, total, cfg = _run(vol, 12, epsilon=epsilon)
@@ -292,7 +293,7 @@ class TestSchedule:
     def test_reference_at_epsilon_zero_is_jacobi(self, case):
         # skipping the pixels none of whose messages moved changes no bit
         h, w, levels, seed = case
-        vol = CostVolume(np.random.default_rng(seed).uniform(0, 1, size=(h, w, levels)))
+        vol = pixel_volume(np.random.default_rng(seed).uniform(0, 1, size=(h, w, levels)))
         p = SmoothnessParams()
         for sweeps in range(1, 13):
             fld, _, _ = scheduled_bp(vol, sweeps, p, 0.0)
@@ -301,7 +302,7 @@ class TestSchedule:
     def test_reference_exercises_partial_masks(self):
         # the 8x8 cases above must sweep partial masks, and reactivate
         h, w, levels, seed = SCHEDULE_CASES[0]
-        vol = CostVolume(np.random.default_rng(seed).uniform(0, 1, size=(h, w, levels)))
+        vol = pixel_volume(np.random.default_rng(seed).uniform(0, 1, size=(h, w, levels)))
         _, masks, _ = scheduled_bp(vol, 12, SmoothnessParams(), 1e-3)
         counts = [int(m.sum()) for m in masks]
         assert any(0 < c < h * w for c in counts)
@@ -326,7 +327,7 @@ def _sweeps_match_reference(volume, start, masks, config):
         assert np.array_equal(mask.active, want[0]) and np.array_equal(mask.changed, want[1])
         assert mask.max_delta == want[2] and updated == want[3]
         m = fld.planes  # the belief summed in the engine's order
-        belief = volume.costs.transpose(2, 0, 1) + (((m[0] + m[1]) + m[2]) + m[3])
+        belief = volume.costs + (((m[0] + m[1]) + m[2]) + m[3])
         assert np.array_equal(extract_disparity(volume, fld).labels, np.argmin(belief, axis=0))
     return fld
 
@@ -373,7 +374,7 @@ class TestChunks:
     def test_all_active_sweeps_match_the_scalar_reference(self, monkeypatch, case):
         seed, shape, dtype, epsilon, sweeps, chunks = case
         rng = np.random.default_rng(seed)
-        vol = CostVolume(rng.uniform(0, 2, size=shape).astype(dtype))
+        vol = pixel_volume(rng.uniform(0, 2, size=shape).astype(dtype))
         start = rng.uniform(0, 2, size=(4, *shape)).astype(dtype)
         cfg = BpConfig(epsilon=epsilon, smoothness=SmoothnessParams(0.7, 1.5))
         masks = [np.ones(shape[:2], dtype=bool)] * sweeps
@@ -388,7 +389,7 @@ class TestChunks:
     @pytest.mark.parametrize("shape", CHUNK_SHAPES)
     def test_chunks_match_the_scalar_reference(self, monkeypatch, shape, dtype, epsilon):
         # sweeps from the partial masks of the scheduled reference run
-        vol = CostVolume(np.random.default_rng(48).uniform(0, 3, size=shape).astype(dtype))
+        vol = pixel_volume(np.random.default_rng(48).uniform(0, 3, size=shape).astype(dtype))
         p = SmoothnessParams()
         masks = [np.ones(shape[:2], dtype=bool)] + scheduled_bp(vol, 12, p, epsilon)[1][:-1]
         assert any(0 < m.sum() < m.size for m in masks)
@@ -400,7 +401,7 @@ class TestChunks:
     def test_one_row_chunks_match_jacobi(self, monkeypatch):
         # one-row chunks, so every chunk hands a row to the next
         rng = np.random.default_rng(40)
-        vol = CostVolume(rng.uniform(0, 1, size=(5, 4, 3)))
+        vol = pixel_volume(rng.uniform(0, 1, size=(5, 4, 3)))
         _chunk_senders(monkeypatch, vol, vol.width)
         fld, _, _ = _run(vol, 6)
         assert np.array_equal(msgs(fld), msgs(jacobi_bp(vol, 6, SmoothnessParams())))
@@ -413,7 +414,7 @@ class TestChunks:
         # arrives from outside the image; chunks end mid-row and at row ends
         h, w = shape
         rng = np.random.default_rng(49)
-        vol = CostVolume(rng.uniform(0, 2, size=(h, w, 4)))
+        vol = pixel_volume(rng.uniform(0, 2, size=(h, w, 4)))
         start = rng.uniform(1, 2, size=(4, h, w, 4))
         active = np.arange(h * w).reshape(shape) % 3 != 1 if partial else np.ones(shape, bool)
         outside = [(FROM_LEFT, np.s_[:, 0]), (FROM_RIGHT, np.s_[:, -1]),
@@ -431,7 +432,7 @@ class TestChunks:
         # in chunks of one sender it is held for the second chunk
         step = np.float32(0.01)
         assert float(step) < 0.01 and (np.array([step]) >= 0.01).all()
-        vol = CostVolume(np.array([[[0, step], [0, 0]]], dtype=np.float32))
+        vol = pixel_volume(np.array([[[0, step], [0, 0]]], dtype=np.float32))
         _chunk_senders(monkeypatch, vol, 1 if held else 2)
         fld = MessageField(1, 2, 2, np.float32)
         mask = ConvergenceMask(1, 2)
@@ -448,7 +449,7 @@ class TestMemory:
         # sixteen chunks of 16 rows; a whole (L, H, W) float32 frame is 2 MiB
         h, w, levels = 256, 64, 32
         rng = np.random.default_rng(41)
-        vol = CostVolume(rng.uniform(0, 2, size=(h, w, levels)).astype(np.float32))
+        vol = pixel_volume(rng.uniform(0, 2, size=(h, w, levels)).astype(np.float32))
         fld = MessageField(h, w, levels, np.float32)
         msgs(fld)[...] = rng.uniform(0, 2, size=msgs(fld).shape).astype(np.float32)
         _chunk_senders(monkeypatch, vol, 16 * w)
@@ -472,7 +473,7 @@ class TestMemory:
         # whole (L, H, W) frames
         h, w, levels = 256, 64, 32
         rng = np.random.default_rng(43)
-        vol = CostVolume(rng.uniform(0, 2, size=(h, w, levels)).astype(np.float32))
+        vol = pixel_volume(rng.uniform(0, 2, size=(h, w, levels)).astype(np.float32))
         fld = MessageField(h, w, levels, np.float32)
         msgs(fld)[...] = rng.uniform(0, 2, size=msgs(fld).shape).astype(np.float32)
         _chunk_senders(monkeypatch, vol, 16 * w)
@@ -511,7 +512,7 @@ class TestEnergyTrace:
     @pytest.mark.parametrize("case", SCHEDULE_CASES)
     def test_rows_match_whole_frame_reference(self, case, epsilon):
         h, w, levels, seed = case
-        vol = CostVolume(np.random.default_rng(seed).uniform(0, 1, size=(h, w, levels)))
+        vol = pixel_volume(np.random.default_rng(seed).uniform(0, 1, size=(h, w, levels)))
         cfg = BpConfig(epsilon=epsilon)
         want, want_fld = _reference_trace(vol, cfg, 12)
         fld = MessageField(h, w, levels)
@@ -524,7 +525,7 @@ class TestEnergyTrace:
         # in this chain the fourth sweep moves the messages into pixel
         # (0, 0) by less than epsilon, so it is not active again, yet its
         # label flips: relabeling only the active pixels would miss it
-        vol = CostVolume(np.random.default_rng(100).uniform(0, 1, size=(1, 9, 3)))
+        vol = pixel_volume(np.random.default_rng(100).uniform(0, 1, size=(1, 9, 3)))
         cfg = BpConfig(epsilon=0.05)
         fld = MessageField(1, 9, 3)
         mask = ConvergenceMask(1, 9)
@@ -562,7 +563,7 @@ class TestEnergyTrace:
 
     def test_changed_marks_every_moved_belief(self):
         rng = np.random.default_rng(38)
-        vol = CostVolume(rng.uniform(0, 1, size=(7, 9, 5)))
+        vol = pixel_volume(rng.uniform(0, 1, size=(7, 9, 5)))
         fld = MessageField(7, 9, 5)
         mask = ConvergenceMask(7, 9)
         assert not mask.changed.any()
@@ -575,22 +576,22 @@ class TestEnergyTrace:
 class TestExtractDisparity:
     def test_zero_messages_is_winner_take_all(self):
         rng = np.random.default_rng(26)
-        vol = CostVolume(rng.uniform(0, 1, size=(4, 4, 5)))
+        vol = pixel_volume(rng.uniform(0, 1, size=(4, 4, 5)))
         fld = MessageField(4, 4, 5)
         dm = extract_disparity(vol, fld)
-        assert np.array_equal(dm.labels, np.argmin(vol.costs, axis=2))
+        assert np.array_equal(dm.labels, np.argmin(vol.costs, axis=0))
 
     def test_tie_toward_smaller_disparity(self):
-        vol = CostVolume(np.array([[[3.0, 1.0, 1.0]]]))
+        vol = pixel_volume(np.array([[[3.0, 1.0, 1.0]]]))
         fld = MessageField(1, 1, 3)
         assert extract_disparity(vol, fld).labels[0, 0] == 1
 
     def test_ties_against_argmin(self):
         rng = np.random.default_rng(34)
-        vol = CostVolume(rng.integers(0, 3, size=(5, 6, 4)).astype(float))
+        vol = pixel_volume(rng.integers(0, 3, size=(5, 6, 4)).astype(float))
         fld = MessageField(5, 6, 4)
         msgs(fld)[...] = rng.integers(0, 2, size=msgs(fld).shape)
-        belief = vol.costs + msgs(fld).sum(axis=0)
+        belief = pixel_costs(vol) + msgs(fld).sum(axis=0)
         assert np.array_equal(extract_disparity(vol, fld).labels, np.argmin(belief, axis=2))
         # the trace's relabeling keeps the same tie rule
         labels = np.full((5, 6), INVALID, dtype=np.int32)
@@ -607,25 +608,27 @@ class TestExtractDisparity:
 
 class TestLabelingEnergy:
     def test_single_pixel(self):
-        vol = CostVolume(np.array([[[0.3, 0.9]]]))
+        vol = pixel_volume(np.array([[[0.3, 0.9]]]))
         dm = DisparityMap(np.array([[1]], dtype=np.int32))
         assert labeling_energy(vol, dm, SmoothnessParams()) == pytest.approx(0.9)
 
     def test_truncated_pair(self):
-        vol = CostVolume(np.zeros((1, 2, 4)))
+        vol = pixel_volume(np.zeros((1, 2, 4)))
         dm = DisparityMap(np.array([[0, 3]], dtype=np.int32))
         assert labeling_energy(vol, dm, SmoothnessParams(1.0, 2.0)) == pytest.approx(2.0)
 
     def test_invalid_label_rejected(self):
-        vol = CostVolume(np.zeros((1, 2, 2)))
+        vol = pixel_volume(np.zeros((1, 2, 2)))
         dm = DisparityMap(np.array([[0, -1]], dtype=np.int32))
         with pytest.raises(ValueError):
             labeling_energy(vol, dm, SmoothnessParams())
 
     @pytest.mark.parametrize("label", [-2, 4, -5])
     def test_label_outside_range_rejected(self, label):
-        vol = CostVolume(np.zeros((1, 2, 4)))
-        dm = DisparityMap(np.array([[0, label]], dtype=np.int32))
+        vol = pixel_volume(np.zeros((1, 2, 4)))
+        # a DisparityMap refuses labels below INVALID, so set it afterwards
+        dm = DisparityMap(np.array([[0, 0]], dtype=np.int32))
+        dm.labels[0, 1] = label
         with pytest.raises(ValueError, match=r"outside \[0, 4\)"):
             labeling_energy(vol, dm, SmoothnessParams())
 
@@ -634,11 +637,11 @@ class TestLabelingEnergy:
     @pytest.mark.parametrize("shape", [(1, 1), (1, 17), (17, 1), (7, 9)])
     def test_equals_the_fancy_index_sum(self, shape, levels, dtype):
         rng = np.random.default_rng(39)
-        vol = CostVolume(rng.uniform(0, 3, size=(*shape, levels)).astype(dtype))
+        vol = pixel_volume(rng.uniform(0, 3, size=(*shape, levels)).astype(dtype))
         labels = rng.integers(0, levels, size=shape).astype(np.int32)
         p = SmoothnessParams(0.6, 1.4)
         yy, xx = np.mgrid[0 : shape[0], 0 : shape[1]]
-        data = vol.costs[yy, xx, labels].sum(dtype=np.float64)
+        data = vol.costs[labels, yy, xx].sum(dtype=np.float64)
         dh = np.minimum(p.slope * np.abs(labels[:, 1:] - labels[:, :-1]), p.truncation).sum()
         dv = np.minimum(p.slope * np.abs(labels[1:, :] - labels[:-1, :]), p.truncation).sum()
         assert labeling_energy(vol, DisparityMap(labels), p) == float(data + dh + dv)
@@ -648,12 +651,12 @@ class TestLabelingEnergy:
         p = SmoothnessParams(0.6, 1.4)
         for _ in range(10):
             h, w, levels = rng.integers(1, 5, size=3)
-            vol = CostVolume(rng.uniform(0, 3, size=(h, w, levels)))
+            vol = pixel_volume(rng.uniform(0, 3, size=(h, w, levels)))
             labels = rng.integers(0, levels, size=(h, w)).astype(np.int32)
             want = 0.0
             for y in range(h):
                 for x in range(w):
-                    want += vol.costs[y, x, labels[y, x]]
+                    want += vol.costs[labels[y, x], y, x]
                     if x + 1 < w:
                         want += smoothness_cost(labels[y, x], labels[y, x + 1], p)
                     if y + 1 < h:
@@ -666,8 +669,8 @@ class TestLabelingEnergy:
         costs = rng.uniform(0, 3, size=(64, 64, 3)).astype(np.float32)
         labels = DisparityMap(rng.integers(0, 3, size=(64, 64)).astype(np.int32))
         p = SmoothnessParams(0.6, 1.4)
-        got = labeling_energy(CostVolume(costs), labels, p)
-        assert got == labeling_energy(CostVolume(costs.astype(np.float64)), labels, p)
+        got = labeling_energy(pixel_volume(costs), labels, p)
+        assert got == labeling_energy(pixel_volume(costs.astype(np.float64)), labels, p)
 
 
 class TestChainExactness:

@@ -3,7 +3,7 @@ from decimal import Decimal, localcontext
 import numpy as np
 import pytest
 
-from bp_reference import ncc_score
+from bp_reference import ncc_score, pixel_costs, pixel_volume
 from stereo_bp import CostVolume, GrayImage, NccParams, build_cost_volume
 from stereo_bp.cost_volume import downsample_volume
 
@@ -79,7 +79,7 @@ class TestBuildCostVolume:
         rng = np.random.default_rng(5)
         img = _image(rng.integers(0, 256, size=(10, 10)))
         vol = build_cost_volume(img, img, 4, NccParams(window_radius=2))
-        inner = vol.costs[4, 6]
+        inner = pixel_costs(vol)[4, 6]
         assert inner[0] == pytest.approx(0.0, abs=1e-12)
         assert inner[0] == inner.min()
 
@@ -91,7 +91,7 @@ class TestBuildCostVolume:
         right = _image(np.pad(b, 1))
         p = NccParams(window_radius=1, data_weight=1.0, data_truncation=1.5)
         vol = build_cost_volume(left, right, 1, p)
-        assert vol.costs[2, 2, 0] == pytest.approx(1.5)
+        assert vol.costs[0, 2, 2] == pytest.approx(1.5)
 
     def test_matches_per_element_oracle(self):
         rng = np.random.default_rng(6)
@@ -113,7 +113,7 @@ class TestBuildCostVolume:
                         )
                     else:
                         want = p.data_truncation
-                    assert vol.costs[y, x, d] == pytest.approx(want, abs=1e-9)
+                    assert vol.costs[d, y, x] == pytest.approx(want, abs=1e-9)
 
     def test_costs_bounded_by_truncation(self):
         rng = np.random.default_rng(7)
@@ -135,7 +135,8 @@ class TestBuildCostVolume:
         img = _image(rng.integers(0, 256, size=(9, 11)))
         vol = build_cost_volume(img, img, 3, NccParams())
         assert vol.costs.dtype == np.float32
-        assert vol.costs.transpose(2, 0, 1).flags.c_contiguous
+        assert vol.costs.shape == (3, 9, 11)
+        assert vol.costs.flags.c_contiguous
 
 
 def _decimal_costs(left, right, levels, params):
@@ -201,7 +202,7 @@ class TestDecimalOracle:
         left, right, levels, radius = _scenes()[name]
         left, right = _image(left), _image(right)
         p = NccParams(window_radius=radius, data_weight=weight, data_truncation=truncation)
-        got = build_cost_volume(left, right, levels, p).costs
+        got = pixel_costs(build_cost_volume(left, right, levels, p))
         want, exact = _decimal_costs(left, right, levels, p)
         assert exact.any() and not exact.all()
         for idx in np.ndindex(got.shape):
@@ -215,7 +216,7 @@ class TestDecimalOracle:
     def test_flat_windows_cost_exactly_min_weight_truncation(self):
         left, right, levels, radius = _scenes()["flat"]
         p = NccParams(window_radius=radius, data_weight=1.3, data_truncation=1.8)
-        costs = build_cost_volume(_image(left), _image(right), levels, p).costs
+        costs = pixel_costs(build_cost_volume(_image(left), _image(right), levels, p))
         win = np.lib.stride_tricks.sliding_window_view(left, (3, 3))
         ys, xs = np.nonzero(win.min(axis=(2, 3)) == win.max(axis=(2, 3)))
         assert len(ys) > 20
@@ -235,7 +236,7 @@ class TestNccParams:
 class TestCostVolumeDtype:
     def test_float32_kept_without_copy(self):
         planes = np.ones((2, 3, 4), dtype=np.float32)  # (L, H, W)
-        vol = CostVolume(planes.transpose(1, 2, 0))
+        vol = CostVolume(planes)
         assert vol.costs.dtype == np.float32
         assert np.shares_memory(vol.costs, planes)
 
@@ -245,10 +246,10 @@ class TestCostVolumeDtype:
         [[[0, 1]], [[2, 3]]],
     ])
     def test_anything_else_becomes_float64(self, costs):
-        vol = CostVolume(costs)
+        vol = pixel_volume(costs)
         assert vol.costs.dtype == np.float64
-        assert np.array_equal(vol.costs, np.asarray(costs))
-        assert vol.costs.transpose(2, 0, 1).flags.c_contiguous
+        assert np.array_equal(pixel_costs(vol), np.asarray(costs))
+        assert vol.costs.flags.c_contiguous
 
 
 class TestCostVolumeValidation:
@@ -258,40 +259,45 @@ class TestCostVolumeValidation:
         costs = np.ones((3, 4, 2), dtype=dtype)
         costs[1, 2, 1] = bad
         with pytest.raises(ValueError, match="costs must be finite and non-negative"):
-            CostVolume(costs)
+            pixel_volume(costs)
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_zero_costs_accepted(self, dtype):
-        assert not CostVolume(np.zeros((3, 4, 2), dtype=dtype)).costs.any()
+        assert not pixel_volume(np.zeros((3, 4, 2), dtype=dtype)).costs.any()
+
+    @pytest.mark.parametrize("shape", [(3, 4), (2, 3, 4, 1)])
+    def test_costs_not_three_dimensional_rejected(self, shape):
+        with pytest.raises(ValueError, match=r"costs must be \(levels, height, width\)"):
+            CostVolume(np.zeros(shape))
 
 
 class TestDownsampleVolume:
     def test_block_sum(self):
         costs = np.zeros((2, 2, 2))
         costs[:, :, 1] = [[1, 2], [3, 4]]
-        coarse = downsample_volume(CostVolume(costs))
-        assert coarse.costs.shape == (1, 1, 2)
-        assert coarse.costs[0, 0].tolist() == [0.0, 10.0]
+        coarse = downsample_volume(pixel_volume(costs))
+        assert coarse.costs.shape == (2, 1, 1)
+        assert coarse.costs[:, 0, 0].tolist() == [0.0, 10.0]
 
     def test_single_pixel_unchanged(self):
-        vol = CostVolume(np.array([[[0.5, 0.25]]]))
+        vol = pixel_volume(np.array([[[0.5, 0.25]]]))
         coarse = downsample_volume(vol)
         assert np.array_equal(coarse.costs, vol.costs)
 
     def test_odd_dimensions_match_double_loop_oracle(self):
         rng = np.random.default_rng(9)
-        vol = CostVolume(rng.uniform(0, 1, size=(7, 5, 3)))
+        vol = pixel_volume(rng.uniform(0, 1, size=(7, 5, 3)))
         coarse = downsample_volume(vol)
-        assert coarse.costs.shape == (4, 3, 3)
+        assert coarse.costs.shape == (3, 4, 3)
         for cy in range(4):
             for cx in range(3):
                 for d in range(3):
                     want = sum(
-                        vol.costs[y, x, d]
+                        vol.costs[d, y, x]
                         for y in range(2 * cy, min(2 * cy + 2, 7))
                         for x in range(2 * cx, min(2 * cx + 2, 5))
                     )
-                    assert coarse.costs[cy, cx, d] == pytest.approx(want)
+                    assert coarse.costs[d, cy, cx] == pytest.approx(want)
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("shape", [(7, 5, 1), (7, 5, 3), (1, 1, 3), (4, 9, 1), (6, 6, 3)])
@@ -299,25 +305,25 @@ class TestDownsampleVolume:
         # ((a00 + a01) + a10) + a11 per element, whatever L or the layout;
         # pixels past an odd edge count as 0
         rng = np.random.default_rng(12)
-        vol = CostVolume(rng.uniform(0, 1, size=shape).astype(dtype))
+        vol = pixel_volume(rng.uniform(0, 1, size=shape).astype(dtype))
         coarse = downsample_volume(vol)
         h, w, levels = shape
         assert coarse.costs.dtype == dtype
-        assert coarse.costs.shape == ((h + 1) // 2, (w + 1) // 2, levels)
+        assert coarse.costs.shape == (levels, (h + 1) // 2, (w + 1) // 2)
 
         def at(y, x, d):
-            return vol.costs[y, x, d] if y < h and x < w else dtype(0)
+            return vol.costs[d, y, x] if y < h and x < w else dtype(0)
 
-        for cy, cx, d in np.ndindex(coarse.costs.shape):
+        for d, cy, cx in np.ndindex(coarse.costs.shape):
             y, x = 2 * cy, 2 * cx
             want = ((at(y, x, d) + at(y, x + 1, d)) + at(y + 1, x, d)) + at(y + 1, x + 1, d)
-            assert coarse.costs[cy, cx, d] == want
-            assert coarse.costs[cy, cx, d].dtype == dtype
+            assert coarse.costs[d, cy, cx] == want
+            assert coarse.costs[d, cy, cx].dtype == dtype
 
     def test_cost_mass_preserved_per_disparity(self):
         rng = np.random.default_rng(10)
-        vol = CostVolume(rng.uniform(0, 1, size=(9, 13, 4)))
+        vol = pixel_volume(rng.uniform(0, 1, size=(9, 13, 4)))
         coarse = downsample_volume(vol)
         assert np.allclose(
-            coarse.costs.sum(axis=(0, 1)), vol.costs.sum(axis=(0, 1))
+            coarse.costs.sum(axis=(1, 2)), vol.costs.sum(axis=(1, 2))
         )

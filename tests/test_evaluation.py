@@ -3,10 +3,9 @@ import itertools
 import numpy as np
 import pytest
 
-from bp_reference import exact_map_chain, exact_map_grid_small
+from bp_reference import exact_map_chain, exact_map_grid_small, pixel_volume
 from stereo_bp import (
     INVALID,
-    CostVolume,
     DisparityMap,
     SmoothnessParams,
     bad_pixel_rate,
@@ -132,12 +131,12 @@ class TestExactMapChain:
 
 class TestExactMapGridSmall:
     def test_single_pixel(self):
-        vol = CostVolume(np.array([[[0.7, 0.1, 0.4]]]))
+        vol = pixel_volume(np.array([[[0.7, 0.1, 0.4]]]))
         labels, energy = exact_map_grid_small(vol, SmoothnessParams())
         assert labels.tolist() == [[1]] and energy == pytest.approx(0.1)
 
     def test_symmetric_costs_pick_all_zero(self):
-        vol = CostVolume(np.full((2, 2, 2), 0.25))
+        vol = pixel_volume(np.full((2, 2, 2), 0.25))
         labels, energy = exact_map_grid_small(vol, SmoothnessParams())
         assert labels.tolist() == [[0, 0], [0, 0]]
         assert energy == pytest.approx(1.0)
@@ -145,13 +144,13 @@ class TestExactMapGridSmall:
     def test_optimum_is_a_lower_bound(self):
         rng = np.random.default_rng(34)
         p = SmoothnessParams()
-        vol = CostVolume(rng.uniform(0, 1, size=(2, 3, 3)))
+        vol = pixel_volume(rng.uniform(0, 1, size=(2, 3, 3)))
         _, opt = exact_map_grid_small(vol, p)
         labels = rng.integers(0, 3, size=(2, 3)).astype(np.int32)
         assert opt <= labeling_energy(vol, DisparityMap(labels), p) + 1e-12
 
     def test_guard_rejects_large_instances(self):
-        vol = CostVolume(np.zeros((5, 5, 4)))
+        vol = pixel_volume(np.zeros((5, 5, 4)))
         with pytest.raises(ValueError):
             exact_map_grid_small(vol, SmoothnessParams())
 

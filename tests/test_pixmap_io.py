@@ -111,6 +111,25 @@ def test_non_numeric_p2_sample_reports_its_offset(tmp_path):
     assert err.value.offset == 19
 
 
+@pytest.mark.parametrize("token", [b"2_55", b"+7", b"1_0", b"-1"])
+def test_header_field_must_be_decimal_digits(tmp_path, token):
+    # int() would read 2_55 as 255, +7 as 7 and 1_0 as 10
+    path = tmp_path / "bad.pgm"
+    path.write_bytes(b"P2\n2 1\n" + token + b"\n7 10\n")
+    with pytest.raises(PgmError, match="non-numeric header field") as err:
+        read_pgm(path)
+    assert err.value.offset == 7
+
+
+@pytest.mark.parametrize("token", [b"2_55", b"+7", b"1_0", b"-1"])
+def test_p2_sample_must_be_decimal_digits(tmp_path, token):
+    path = tmp_path / "bad.pgm"
+    path.write_bytes(b"P2\n2 1\n255\n7 " + token + b"\n")
+    with pytest.raises(PgmError, match="non-numeric sample") as err:
+        read_pgm(path)
+    assert err.value.offset == 13
+
+
 def test_missing_file():
     with pytest.raises(FileNotFoundError):
         read_pgm("/nonexistent/image.pgm")
@@ -151,6 +170,30 @@ def test_disparity_overflow():
     dm = DisparityMap(np.array([[20]], dtype=np.int32), scale_factor=16)
     with pytest.raises(ValueError, match="exceeds 255"):
         write_pgm(dm, "/dev/null")
+
+
+@pytest.mark.parametrize("labels", [
+    [[-2, 3]],
+    np.array([[0, -2]], dtype=np.int32),
+    [[2.7, 1]],
+    [[-0.5, 1]],
+    [[float("nan"), 1]],
+    np.array([[2**31 + 3]], dtype=np.int64),
+])
+def test_disparity_map_rejects_labels_outside_int32_or_below_invalid(labels):
+    # stored as int32, -2 * 8 would write gray 240 and read back as 30,
+    # 2.7 and -0.5 would read 2 and 0, and 2**31 + 3 -2147483645
+    with pytest.raises(ValueError, match=r"integers in \[-1, 2\*\*31\)"):
+        DisparityMap(labels, scale_factor=8)
+
+
+def test_disparity_map_keeps_int32_and_converts_integral_values():
+    raw = np.array([[-1, 0], [7, 2**31 - 1]], dtype=np.int32)
+    assert DisparityMap(raw).labels is raw
+    for labels in (raw.tolist(), raw.astype(np.float64), raw.astype(np.int64)):
+        got = DisparityMap(labels).labels
+        assert got.dtype == np.int32
+        assert np.array_equal(got, raw)
 
 
 def test_invalid_encodes_as_zero(tmp_path):
