@@ -19,17 +19,19 @@ the (4, L, H, W) messages, so every step works on whole label planes: the
 min-convolution runs along the label axis plane by plane.
 
 A sweep goes through its active senders in ascending flat order, in
-chunks of m senders whose (L, m) batch holds about _CHUNK_BYTES. It reads
-a chunk's four incoming slots once: through views of the planes when the
-senders run without a gap, as every chunk of a sweep with every pixel
-active does, else gathered into one label-major (L, 4, m) snapshot. It
-builds each slot's message in that slot's column of the snapshot and
-sends all four through one kernel call, so it holds about six (L, m) sets
-of columns and no temporary the size of a whole (L, H, W) frame. Only
-messages to the right or down can reach a sender of a later chunk; each
-is held until that chunk has read its slots, so every message still
-comes from the field as it stood before the sweep. The final argmin goes
-through the same chunks.
+chunks of m >= W senders whose (L, m) batch holds about _CHUNK_BYTES. It
+reads a chunk's four incoming slots once: through views of the planes
+when the senders run without a gap, as every chunk of a sweep with every
+pixel active does, else gathered into one label-major (L, 4, m) snapshot.
+It builds each slot's message in that slot's column of the snapshot and
+sends all four through one kernel call. Messages left and up go to this
+chunk or an earlier one, which have read their slots, and are stored at
+once; messages right and down land at most W past the chunk's last
+sender, so within the next chunk, and are stored once it has read its
+slots. So every message comes from the field as it stood before the
+sweep. A sweep holds about eleven (L, m) sets of columns, the previous
+chunk's snapshot among them, and no temporary the size of a whole
+(L, H, W) frame. The final argmin goes through the same chunks.
 
 The per-sweep trace costs what a sweep changed: a sweep leaves on the
 mask its largest message change and the pixels whose incoming messages
@@ -59,9 +61,9 @@ _SENDS = {
 }
 
 # Sweeps and the final argmin work one chunk of pixels at a time: a
-# chunk's label-major (L, m) batch holds about this many bytes. A sweep
-# holds about six batches of a chunk at once; smaller chunks cost more
-# numpy calls than they save.
+# chunk's label-major (L, m) batch holds about this many bytes, or a row's
+# worth if more. A sweep holds about eleven batches at once, four of them
+# the previous chunk's; smaller chunks cost more numpy calls than they save.
 _CHUNK_BYTES = 512 * 1024
 
 
@@ -169,8 +171,8 @@ def _planes(volume, fld):
 def _chunks(volume, flat):
     """Ascending flat indices `flat` in chunks of m: as many as keep one
     (L, m) batch of the volume's dtype within _CHUNK_BYTES, and at least
-    one."""
-    m = max(1, _CHUNK_BYTES // (volume.levels * volume.costs.itemsize))
+    one row's worth, the volume's width."""
+    m = max(volume.width, _CHUNK_BYTES // (volume.levels * volume.costs.itemsize))
     return [flat[i:i + m] for i in range(0, flat.size, m)]
 
 
@@ -209,13 +211,14 @@ def sweep(volume, fld, mask, config):
 
     The active senders go in chunks, in ascending flat order, each
     through one kernel call from one reading of its four incoming slots,
-    through views of the planes for a chunk without gaps. A message to the
-    right or down, the only kind that can reach a later chunk, is held
-    until the chunk of its receiver has read its slots. The flat
-    neighbour of a sender on the left or right edge is the far end of the
-    previous or next row, whose slot from that side arrives from outside
-    the image: the sender resends that slot its own value, so no such slot
-    changes and no sender need be cut from the middle of a chunk."""
+    through views of the planes for a chunk without gaps. A chunk's
+    messages left and up are stored at once; its messages right and
+    down, which reach no further than the next chunk of at least a row of
+    senders, once that chunk has read its slots. The flat neighbour of a
+    sender on the left or right edge is the far end of the previous or
+    next row, whose slot from that side arrives from outside the image:
+    the sender resends that slot its own value, so no such slot changes
+    and no sender need be cut from the middle of a chunk."""
     if (fld.height, fld.width, fld.levels) != (volume.height, volume.width, volume.levels):
         raise ValueError("message field and cost volume dimensions disagree")
     params = config.smoothness
@@ -243,11 +246,12 @@ def sweep(volume, fld, mask, config):
 
     def chunk(flat):
         """(slot, senders, receivers, messages) batches of the senders at
-        flat indices `flat`, all through one kernel call: their four
-        incoming columns are read once, label-major, into one snapshot
-        unless they are views, and each slot's message is built over its
-        column of the snapshot. Senders whose flat receiver lies outside
-        the frame, a prefix or a suffix of the chunk, are cut off."""
+        flat indices `flat`, for the messages right, left, down and up, all
+        through one kernel call: their four incoming columns are read once,
+        label-major, into one snapshot unless they are views, and each
+        slot's message is built over its column of the snapshot. Senders
+        whose flat receiver lies outside the frame, a prefix or a suffix of
+        the chunk, are cut off."""
         at = _run(flat)
         snap = np.empty((fld.levels, 4, flat.size), dtype=np.result_type(costs, planes))
         incoming = [_cols(plane, at, out=snap[:, k]) for k, plane in enumerate(planes)]
@@ -268,16 +272,10 @@ def sweep(volume, fld, mask, config):
             batches.append((slot, src, src + step, msg))
         return batches
 
-    def write(batches, limit):
-        """Store the messages of each batch whose receivers lie before
-        flat index `limit`; return the rest, copied out."""
-        held = []
+    def write(batches):
+        """Store the messages of each batch, recording how far they moved."""
         for slot, src, dst, msg in batches:
-            cut = np.searchsorted(dst, limit)
-            if cut < dst.size:
-                held.append((slot, src[cut:], dst[cut:], msg[:, cut:].copy()))
-                src, dst, msg = src[:cut], dst[:cut], msg[:, :cut]
-            if not cut:
+            if not dst.size:
                 continue
             at = _run(dst)
             old = _cols(planes[slot], at)
@@ -287,12 +285,13 @@ def sweep(volume, fld, mask, config):
             else:
                 for plane, new in zip(planes[slot], msg):
                     plane[dst] = new
-        return held
 
-    chunks = _chunks(volume, np.flatnonzero(active))
-    held = []
-    for flat, limit in zip(chunks, [c[0] for c in chunks[1:]] + [h * w]):
-        held = write(held + chunk(flat), limit)
+    pending = []  # the previous chunk's messages right and down
+    for flat in _chunks(volume, np.flatnonzero(active)):
+        right, left, down, up = chunk(flat)
+        write([*pending, left, up])
+        pending = [right, down]
+    write(pending)
     mask.active = grown.reshape(h, w)
     return int(np.count_nonzero(active))
 

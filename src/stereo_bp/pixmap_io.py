@@ -59,13 +59,21 @@ class GrayImage:
         return self.samples.shape[0]
 
 
+def _scale_factor(value):
+    """`value` as an int, if it is an integer (numpy's included) >= 1."""
+    if isinstance(value, (int, np.integer)) and value >= 1:
+        return int(value)
+    raise ValueError(f"scale_factor must be an integer >= 1, got {value!r}")
+
+
 @dataclass
 class DisparityMap:
     """Integer disparity labels per pixel; INVALID (-1) marks unknown pixels.
     Labels must be integral values in [INVALID, 2**31); they are never
     wrapped or truncated.
 
-    scale_factor is the output encoding multiplier: gray = label * scale_factor.
+    scale_factor is the output encoding multiplier: gray = label * scale_factor,
+    an integer >= 1.
     """
 
     labels: np.ndarray  # (height, width) int32, values in [0, L) or INVALID
@@ -82,8 +90,7 @@ class DisparityMap:
         if not ok:
             raise ValueError(f"DisparityMap labels must be integers in [{INVALID}, 2**31)")
         self.labels = labels.astype(np.int32, copy=False)
-        if self.scale_factor < 1:
-            raise ValueError("scale_factor must be >= 1")
+        self.scale_factor = _scale_factor(self.scale_factor)
 
     @property
     def width(self):
@@ -184,8 +191,7 @@ def write_pgm(image, path):
 
 def read_disparity_pgm(path, scale_factor=1):
     """Read a scaled disparity encoding back into integer labels."""
-    if scale_factor < 1:
-        raise ValueError(f"scale_factor must be >= 1, got {scale_factor}")
+    scale_factor = _scale_factor(scale_factor)
     img = read_pgm(path)
     labels = np.rint(img.samples.astype(np.float64) / scale_factor).astype(np.int32)
     return DisparityMap(labels, scale_factor=scale_factor)

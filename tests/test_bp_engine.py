@@ -34,6 +34,7 @@ from stereo_bp.bp_engine import (
     ConvergenceMask,
     MessageField,
     _argmin,
+    _chunks,
     _relabel,
     extract_disparity,
     run_bp,
@@ -338,9 +339,21 @@ def _chunk_senders(monkeypatch, volume, senders):
     monkeypatch.setattr(bp_engine, "_CHUNK_BYTES", senders * volume.levels * volume.costs.itemsize)
 
 
-# shapes whose rows are wider than a chunk, so that a message sent down
-# waits several chunks for its receiver's; then the edge lines
+# shapes whose chunks of w, w + 1 and 2w - 1 senders end at row ends and
+# mid-row, so that a message sent down waits for the next chunk; then the
+# edge lines, in one chunk or in chunks of one or two pixels
 CHUNK_SHAPES = [(7, 9, 5), (8, 11, 6), (1, 9, 4), (9, 1, 4)]
+
+
+def _row_sizes(width):
+    """Chunk sizes of one row, one row and a pixel, and two rows less one."""
+    return width, width + 1, 2 * width - 1
+
+
+# A partial 4x4 mask for chunks of w = 4 senders: the first chunk ends at
+# flat index 5 and the next spans exactly one row, 6 to 9, so the message
+# sent down from 5 lands on the next chunk's last sender.
+TIGHT_MASK = np.isin(np.arange(16), [0, 2, 3, 5, 6, 7, 8, 9, 12, 15]).reshape(4, 4)
 
 
 # Sweeps with every pixel active, from a random field: (seed, (H, W, L),
@@ -349,7 +362,7 @@ CHUNK_SHAPES = [(7, 9, 5), (8, 11, 6), (1, 9, 4), (9, 1, 4)]
 # these frames in one chunk. Seeds 33 and 35 sweep in one chunk; seed 39
 # in one chunk, then in chunks of one, two or three rows, which leave a
 # short last chunk (or a single chunk where the image is lower); seed 44
-# in chunks of one, two and three senders.
+# in chunks of one row, one row and a pixel, and two rows less one.
 ALL_ACTIVE_CASES = [
     *[(33, shape, np.float64, epsilon, 3, (None,))
       for shape in [(7, 9, 5), (1, 6, 3), (6, 1, 3), (1, 1, 2)] for epsilon in (0.0, 1e-3)],
@@ -357,7 +370,7 @@ ALL_ACTIVE_CASES = [
     *[(39, shape, np.float64, epsilon, 3, (shape[0] * shape[1], rows * shape[1]))
       for shape in [(1, 9, 4), (9, 1, 4), (7, 5, 3), (8, 11, 6), (1, 1, 2)]
       for epsilon in (0.0, 1e-3) for rows in (1, 2, 3)],
-    *[(44, shape, dtype, epsilon, 3, (1, 2, 3))
+    *[(44, shape, dtype, epsilon, 3, _row_sizes(shape[1]))
       for shape in CHUNK_SHAPES for dtype in (np.float64, np.float32) for epsilon in (0.0, 1e-3)],
 ]
 
@@ -386,17 +399,36 @@ class TestChunks:
 
     @pytest.mark.parametrize("epsilon", [0.0, 1e-3])
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
-    @pytest.mark.parametrize("shape", CHUNK_SHAPES)
-    def test_chunks_match_the_scalar_reference(self, monkeypatch, shape, dtype, epsilon):
-        # sweeps from the partial masks of the scheduled reference run
+    @pytest.mark.parametrize("shape, tight", [
+        *[pytest.param(shape, None, id=f"shape{i}") for i, shape in enumerate(CHUNK_SHAPES)],
+        pytest.param((4, 4, 3), TIGHT_MASK, id="tight")])
+    def test_chunks_match_the_scalar_reference(self, monkeypatch, shape, tight, dtype, epsilon):
+        # sweeps from the partial masks of the scheduled reference run,
+        # after the tight mask where one is given
         vol = pixel_volume(np.random.default_rng(48).uniform(0, 3, size=shape).astype(dtype))
         p = SmoothnessParams()
         masks = [np.ones(shape[:2], dtype=bool)] + scheduled_bp(vol, 12, p, epsilon)[1][:-1]
+        if tight is not None:
+            masks.insert(1, tight)
         assert any(0 < m.sum() < m.size for m in masks)
         cfg = BpConfig(epsilon=epsilon, smoothness=p)
-        for senders in (1, 2, 3):
+        for senders in _row_sizes(shape[1]):
             _chunk_senders(monkeypatch, vol, senders)
             _sweeps_match_reference(vol, np.zeros((4, *shape), dtype), masks, cfg)
+
+    @pytest.mark.parametrize("shape", [(7, 9, 5), (1, 9, 4), (9, 1, 4), (4, 4, 3)])
+    def test_chunks_hold_at_least_a_row(self, monkeypatch, shape):
+        # a message sent down from a chunk's last sender must land within
+        # the next chunk, so no chunk but the last is shorter than a row,
+        # whatever the budget asks for
+        h, w, _ = shape
+        vol = pixel_volume(np.zeros(shape))
+        for senders in (1, w - 1, w, w + 1):
+            _chunk_senders(monkeypatch, vol, senders)
+            for flat in (np.arange(h * w), np.flatnonzero(np.arange(h * w) % 3 != 1)):
+                sizes = [c.size for c in _chunks(vol, flat)]
+                assert sum(sizes) == flat.size
+                assert all(size == max(senders, w) for size in sizes[:-1])
 
     def test_one_row_chunks_match_jacobi(self, monkeypatch):
         # one-row chunks, so every chunk hands a row to the next
@@ -419,7 +451,7 @@ class TestChunks:
         active = np.arange(h * w).reshape(shape) % 3 != 1 if partial else np.ones(shape, bool)
         outside = [(FROM_LEFT, np.s_[:, 0]), (FROM_RIGHT, np.s_[:, -1]),
                    (FROM_UP, np.s_[0, :]), (FROM_DOWN, np.s_[-1, :])]
-        for senders in (1, w - 1, w + 1):
+        for senders in _row_sizes(w):
             _chunk_senders(monkeypatch, vol, senders)
             fld = _sweeps_match_reference(vol, start, [active], BpConfig(epsilon=0.0))
             for slot, edge in outside:
@@ -427,20 +459,24 @@ class TestChunks:
 
     @pytest.mark.parametrize("held", [True, False])
     def test_epsilon_compared_in_float64(self, monkeypatch, held):
-        # the one message that moves, from (0, 0), moves by float32(0.01),
-        # which is below 0.01 though a float32 comparison would say not;
-        # in chunks of one sender it is held for the second chunk
+        # the one message that moves, from the first pixel, moves by
+        # float32(0.01), which is below 0.01 though a float32 comparison
+        # would say not; held, it goes down a 2x1 column in chunks of one
+        # sender and waits for the second chunk, else right along a 1x2 row
+        # in one chunk
         step = np.float32(0.01)
         assert float(step) < 0.01 and (np.array([step]) >= 0.01).all()
-        vol = pixel_volume(np.array([[[0, step], [0, 0]]], dtype=np.float32))
+        shape, slot = ((2, 1), FROM_UP) if held else ((1, 2), FROM_LEFT)
+        vol = pixel_volume(np.array([[0, step], [0, 0]], dtype=np.float32).reshape(*shape, 2))
         _chunk_senders(monkeypatch, vol, 1 if held else 2)
-        fld = MessageField(1, 2, 2, np.float32)
-        mask = ConvergenceMask(1, 2)
+        assert [c.size for c in _chunks(vol, np.arange(2))] == ([1, 1] if held else [2])
+        fld = MessageField(*shape, 2, np.float32)
+        mask = ConvergenceMask(*shape)
         cfg = BpConfig(epsilon=0.01, smoothness=SmoothnessParams(1.0, 2.0))
         assert sweep(vol, fld, mask, cfg) == 2
-        assert msgs(fld)[FROM_LEFT, 0, 1].tolist() == [0, step]
+        assert msgs(fld)[slot].reshape(2, 2)[1].tolist() == [0, step]
         assert mask.max_delta == float(step)
-        assert mask.changed.tolist() == [[False, True]]
+        assert mask.changed.reshape(-1).tolist() == [False, True]
         assert not mask.active.any()
 
 

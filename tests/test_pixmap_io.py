@@ -149,21 +149,28 @@ def test_round_trip_identity(tmp_path, binary):
     assert np.array_equal(read_pgm(path).samples, img.samples)
 
 
-def test_disparity_scaling(tmp_path):
-    dm = DisparityMap(np.array([[0, 1], [2, 3]], dtype=np.int32), scale_factor=8)
+@pytest.mark.parametrize("scale", [8, np.int64(8), np.uint8(8)], ids=repr)
+def test_disparity_scaling(tmp_path, scale):
+    dm = DisparityMap(np.array([[0, 1], [2, 3]], dtype=np.int32), scale_factor=scale)
     path = tmp_path / "d.pgm"
     write_pgm(dm, path)
     assert read_pgm(path).samples.tolist() == [[0, 8], [16, 24]]
-    back = read_disparity_pgm(path, scale_factor=8)
+    back = read_disparity_pgm(path, scale_factor=scale)
     assert np.array_equal(back.labels, dm.labels)
+    assert type(back.scale_factor) is int and back.scale_factor == 8
 
 
 @pytest.mark.filterwarnings("error")
-def test_disparity_read_rejects_scale_below_one(tmp_path):
+@pytest.mark.parametrize("scale", [0, -3, np.int64(0), 2.5, 8.0, float("nan"), float("inf"),
+                                   "8", None], ids=repr)
+def test_disparity_scale_must_be_an_integer_from_one(tmp_path, scale):
+    # 2.5 would write grays [[2, 7]] for labels [[1, 3]], NaN zeros
     path = tmp_path / "d.pgm"
     write_pgm(DisparityMap(np.array([[1, 2]], dtype=np.int32), scale_factor=8), path)
-    with pytest.raises(ValueError, match="scale_factor must be >= 1"):
-        read_disparity_pgm(path, scale_factor=0)
+    with pytest.raises(ValueError, match="scale_factor must be an integer >= 1"):
+        read_disparity_pgm(path, scale_factor=scale)
+    with pytest.raises(ValueError, match="scale_factor must be an integer >= 1"):
+        DisparityMap(np.array([[1, 3]], dtype=np.int32), scale_factor=scale)
 
 
 def test_disparity_overflow():
