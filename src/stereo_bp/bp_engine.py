@@ -35,8 +35,13 @@ chunk's snapshot among them, and no temporary the size of a whole
 
 The per-sweep trace costs what a sweep changed: a sweep leaves on the
 mask its largest message change and the pixels whose incoming messages
-moved, whatever epsilon is; `run_bp` re-derives the label of only those
-pixels, from their gathered belief columns, before scoring the labeling.
+moved, whatever epsilon is. When the mask carries a labeling, a sweep also
+writes into it the argmin of each active sender's belief, which it builds
+anyway: the label after the last sweep. So `run_bp` gathers beliefs only
+of the moved pixels that are not active again, which at epsilon 0 are
+none, and of the last sweep's moved pixels. It keeps the energy's data
+and jump terms as arrays, recomputes them at those pixels and sums each
+array whole, so every energy has the bits of `labeling_energy`.
 """
 
 from __future__ import annotations
@@ -124,12 +129,17 @@ class ConvergenceMask:
     the last sweep moved at all (`changed`; none before the first), and
     the largest change it made to any message (`max_delta`; 0 if none).
     At epsilon > 0 `changed` may hold pixels that are not active again,
-    since their change fell below epsilon."""
+    since their change fell below epsilon.
+
+    `labels` is None, or an (H, W) int32 labeling into which a sweep
+    writes the label each active pixel had before it, the argmin of the
+    belief it reads anyway."""
 
     def __init__(self, height, width):
         self.active = np.ones((height, width), dtype=bool)
         self.changed = np.zeros((height, width), dtype=bool)
         self.max_delta = 0.0
+        self.labels = None
 
 
 def _minconv_truncated_linear(h, slope, truncation):
@@ -218,11 +228,17 @@ def sweep(volume, fld, mask, config):
     sender on the left or right edge is the far end of the previous or
     next row, whose slot from that side arrives from outside the image:
     the sender resends that slot its own value, so no such slot changes
-    and no sender need be cut from the middle of a chunk."""
+    and no sender need be cut from the middle of a chunk. When
+    `mask.labels` is not None, each sender's label before the sweep, the
+    argmin of the belief its messages are built from, is written there.
+    The message field must hold the costs' dtype: float64 costs are not
+    rounded into a float32 field."""
     if (fld.height, fld.width, fld.levels) != (volume.height, volume.width, volume.levels):
         raise ValueError("message field and cost volume dimensions disagree")
-    params = config.smoothness
     costs, planes = _planes(volume, fld)
+    if np.result_type(costs, planes) != planes.dtype:
+        raise ValueError(f"{planes.dtype} message field cannot hold {costs.dtype} costs")
+    params = config.smoothness
     h, w = fld.height, fld.width
     active = mask.active
     grown = np.zeros(h * w, dtype=bool)  # the next active set
@@ -231,6 +247,7 @@ def sweep(volume, fld, mask, config):
     mask.max_delta = 0.0
     # compared in float64, as float32(0.01) is below 0.01
     epsilon = np.float64(config.epsilon)
+    labels = None if mask.labels is None else mask.labels.reshape(-1)
 
     def record(src, dst, delta):
         """Keep a pixel active while a message out of it or into it moves,
@@ -253,9 +270,11 @@ def sweep(volume, fld, mask, config):
         whose flat receiver lies outside the frame, a prefix or a suffix of
         the chunk, are cut off."""
         at = _run(flat)
-        snap = np.empty((fld.levels, 4, flat.size), dtype=np.result_type(costs, planes))
+        snap = np.empty((fld.levels, 4, flat.size), dtype=planes.dtype)
         incoming = [_cols(plane, at, out=snap[:, k]) for k, plane in enumerate(planes)]
         base = _belief(_cols(costs, at), incoming)
+        if labels is not None:
+            labels[at] = _argmin(base)
         for back, _, _ in _SENDS.values():
             np.subtract(base, incoming[back], out=snap[:, back])
         del base, incoming
@@ -301,26 +320,40 @@ def run_bp(volume, fld, config, sweeps, trace=None, scale=None):
     epsilon 0, once no message moved at all: an exact fixed point).
     Appends (scale, sweep, active, max_delta, energy) rows to `trace` when
     given: the sweep's largest message change, 0 once none moved, and the
-    energy of the MAP labeling after it, kept across sweeps (taken whole
-    after the first, then re-derived only where a belief moved, with the
-    bits of `extract_disparity`). Returns the total number of updates."""
+    energy of the MAP labeling after it, with the bits of
+    `labeling_energy` of `extract_disparity`. The labeling is taken whole
+    after the first sweep; after that each sweep writes the labels its
+    senders had after the last one, so a row is appended one sweep late,
+    once the labels and energy terms of the pixels whose beliefs moved
+    are brought up to date. Returns the total number of updates."""
     if sweeps < 1:
         raise ValueError(f"sweeps must be >= 1, got {sweeps}")
     mask = ConvergenceMask(volume.height, volume.width)
     total = 0
-    labels = None
+    terms = None
     for it in range(1, sweeps + 1):
+        if terms is not None:
+            # pixels whose belief moved but that send nothing this sweep,
+            # relabeled before the sweep moves their beliefs again
+            _relabel(volume, fld, mask.labels, stale & ~mask.active)
         updated = sweep(volume, fld, mask, config)
         total += updated
         if trace is not None:
-            if labels is None:
-                labels = extract_disparity(volume, fld)
+            if terms is None:
+                mask.labels = extract_disparity(volume, fld).labels
+                terms = _EnergyTerms(volume, mask.labels, config.smoothness)
+                stale = np.zeros_like(mask.changed)
             else:
-                _relabel(volume, fld, labels.labels, mask.changed)
-            energy = labeling_energy(volume, labels, config.smoothness)
-            trace.append((scale, it, int(mask.active.sum()), mask.max_delta, energy))
+                terms.update(np.flatnonzero(stale))
+                trace.append((*row, terms.total()))
+                stale = mask.changed.copy()
+            row = (scale, it, int(mask.active.sum()), mask.max_delta)
         if not mask.active.any():
             break
+    if trace is not None:
+        _relabel(volume, fld, mask.labels, stale)
+        terms.update(np.flatnonzero(stale))
+        trace.append((*row, terms.total()))
     return total
 
 
@@ -350,6 +383,45 @@ def extract_disparity(volume, fld):
     return DisparityMap(labels)
 
 
+class _EnergyTerms:
+    """The terms of `labeling_energy` of `labels`, kept as arrays: the
+    (H, W) data costs at the labels and the (H, W-1) and (H-1, W) jump
+    costs. `update` recomputes the terms at relabeled pixels; `total` sums
+    each array whole, so it gives the bits of a whole-frame recompute."""
+
+    def __init__(self, volume, labels, params):
+        self.costs, self.labels, self.params = volume.costs, labels, params
+        _, h, w = volume.costs.shape
+        # each pixel's cost read from its label's plane
+        at = labels.astype(np.intp).reshape(-1) * (h * w) + np.arange(h * w)
+        self.data = np.take(volume.costs, at).reshape(h, w)
+        self.dh = self._jump(labels[:, :-1], labels[:, 1:])
+        self.dv = self._jump(labels[:-1, :], labels[1:, :])
+
+    def _jump(self, a, b):
+        return np.minimum(self.params.slope * np.abs(b - a), self.params.truncation)
+
+    def update(self, flat):
+        """Recompute the terms at the flat pixels `flat`, whose labels
+        changed, and at every edge that touches one of them."""
+        h, w = self.labels.shape
+        labels = self.labels.reshape(-1)
+        self.data.reshape(-1)[flat] = np.take(
+            self.costs, labels[flat].astype(np.intp) * (h * w) + flat)
+        column = flat % w
+        # an edge is stored at its left or upper pixel, a horizontal one
+        # at flat index p - p // w of its (H, W-1) array
+        left = np.concatenate([flat[column > 0] - 1, flat[column < w - 1]])
+        self.dh.reshape(-1)[left - left // w] = self._jump(labels[left], labels[left + 1])
+        up = np.concatenate([flat[flat >= w] - w, flat[flat < (h - 1) * w]])
+        self.dv.reshape(-1)[up] = self._jump(labels[up], labels[up + w])
+
+    def total(self):
+        # the data term summed in float64, as a float32 sum over a whole
+        # frame loses digits
+        return float(self.data.sum(dtype=np.float64) + self.dh.sum() + self.dv.sum())
+
+
 def labeling_energy(volume, disparity, params):
     """Data energy of the labeling plus truncated-linear smoothness over
     all 4-connected neighbor pairs (each pair counted once)."""
@@ -358,14 +430,7 @@ def labeling_energy(volume, disparity, params):
         raise ValueError("labeling and cost volume dimensions disagree")
     if (labels == INVALID).any():
         raise ValueError("labeling contains INVALID pixels")
-    levels, h, w = volume.costs.shape
+    levels = volume.costs.shape[0]
     if labels.min() < 0 or labels.max() >= levels:
         raise ValueError(f"labeling has labels outside [0, {levels})")
-    # each pixel's cost read from its label's plane; accumulated in
-    # float64, as a float32 sum over a whole frame loses digits
-    at = labels.astype(np.intp).reshape(-1) * (h * w) + np.arange(h * w)
-    data = np.take(volume.costs, at).reshape(h, w).sum(dtype=np.float64)
-    s, t = params.slope, params.truncation
-    dh = np.minimum(s * np.abs(labels[:, 1:] - labels[:, :-1]), t).sum()
-    dv = np.minimum(s * np.abs(labels[1:, :] - labels[:-1, :]), t).sum()
-    return float(data + dh + dv)
+    return _EnergyTerms(volume, labels, params).total()

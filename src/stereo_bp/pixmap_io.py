@@ -171,15 +171,18 @@ def write_pgm(image, path):
     """Write a GrayImage or DisparityMap as binary (P5) PGM.
 
     Disparity labels are encoded as gray = label * scale_factor; INVALID
-    encodes as gray 0. Raises ValueError if any encoded value exceeds 255.
+    encodes as gray 0. Raises ValueError if any encoded value exceeds 255,
+    or if scale_factor, which may have been assigned after construction,
+    is not an integer >= 1.
     """
     if isinstance(image, DisparityMap):
-        gray = image.labels.astype(np.int64) * image.scale_factor
+        scale = _scale_factor(image.scale_factor)
+        gray = image.labels.astype(np.int64) * scale
         gray[image.labels == INVALID] = 0
         if gray.max() > 255:
             raise ValueError(
-                f"disparity {int(gray.max()) // image.scale_factor} * "
-                f"scale {image.scale_factor} = {int(gray.max())} exceeds 255"
+                f"disparity {int(gray.max()) // scale} * "
+                f"scale {scale} = {int(gray.max())} exceeds 255"
             )
         raster = gray.astype(np.uint8)
     else:

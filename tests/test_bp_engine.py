@@ -265,6 +265,31 @@ class TestSweep:
         with pytest.raises(ValueError):
             sweep(vol, fld, ConvergenceMask(3, 4), BpConfig())
 
+    def test_field_narrower_than_costs_rejected(self):
+        # an all-active first sweep would round into float32, and the first
+        # gathered one would fail to cast
+        vol = pixel_volume(np.zeros((3, 3, 2)))
+        fld = MessageField(3, 3, 2, np.float32)
+        with pytest.raises(ValueError, match="float32 message field cannot hold float64 costs"):
+            sweep(vol, fld, ConvergenceMask(3, 3), BpConfig())
+        assert not fld.planes.any()
+
+    def test_field_wider_than_costs_keeps_its_bits(self):
+        # float32 costs in a float64 field give the bits of the scalar
+        # reference, and the trace of the same costs held in float64
+        rng = np.random.default_rng(47)
+        costs = rng.uniform(0, 1, size=(8, 8, 4)).astype(np.float32)
+        vol, wide = pixel_volume(costs), pixel_volume(costs.astype(np.float64))
+        fld, _, _ = _run(vol, 8)
+        assert np.array_equal(msgs(fld), msgs(jacobi_bp(vol, 8, SmoothnessParams())))
+        cfg = BpConfig(epsilon=1e-3)
+        traces = []
+        for v in (vol, wide):
+            traces.append([])
+            run_bp(v, MessageField(8, 8, 4), cfg, 12, trace=traces[-1])
+        assert traces[0] == traces[1]
+        assert any(0 < row[2] < 8 * 8 for row in traces[0])  # gathered sweeps ran
+
 
 # (height, width, levels, seed): seeded 8x8 grids, then the edge shapes
 SCHEDULE_CASES = [(8, 8, 4, seed) for seed in range(4)] + [
@@ -528,8 +553,9 @@ class TestMemory:
 def _reference_trace(volume, config, sweeps):
     """run_bp's trace rows, each from the whole frame: sweep, then score
     the labeling `extract_disparity` takes from the entire field, and take
-    max_delta from the messages before and after the sweep."""
-    fld = MessageField(volume.height, volume.width, volume.levels)
+    max_delta from the messages before and after the sweep. Messages take
+    the volume's dtype."""
+    fld = MessageField(volume.height, volume.width, volume.levels, volume.costs.dtype)
     mask = ConvergenceMask(volume.height, volume.width)
     rows = []
     for it in range(1, sweeps + 1):
@@ -576,6 +602,67 @@ class TestEnergyTrace:
         trace = []
         run_bp(vol, MessageField(1, 9, 3), cfg, 12, trace=trace)
         assert trace == _reference_trace(vol, cfg, 12)[0]
+
+    @pytest.mark.parametrize("epsilon", [0.0, 1e-3, 0.05])
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("smooth", [SmoothnessParams(0.37, 1.3), SmoothnessParams(1, 2)],
+                             ids=["float", "int"])
+    @pytest.mark.parametrize("shape", CHUNK_SHAPES, ids=lambda s: "x".join(map(str, s)))
+    def test_chunked_rows_match_whole_frame_reference(self, monkeypatch, shape, smooth,
+                                                      dtype, epsilon):
+        # chunks of a row, a row and a pixel, and two rows less one: the
+        # labels a sweep writes from its senders' beliefs span chunk
+        # boundaries and the messages held for the next chunk
+        vol = pixel_volume(np.random.default_rng(50).uniform(0, 2, size=shape).astype(dtype))
+        cfg = BpConfig(epsilon=epsilon, smoothness=smooth)
+        want, want_fld = _reference_trace(vol, cfg, 12)
+        for senders in _row_sizes(shape[1]):
+            _chunk_senders(monkeypatch, vol, senders)
+            fld = MessageField(*shape, dtype)
+            trace = []
+            run_bp(vol, fld, cfg, 12, trace=trace, scale=None)
+            assert trace == want
+            assert np.array_equal(msgs(fld), msgs(want_fld))
+
+    def test_relabels_changed_pixels_that_send_nothing(self, monkeypatch):
+        # at epsilon > 0 a pixel whose belief moved by less than epsilon is
+        # not active in the next sweep, which writes no label for it; run_bp
+        # relabels it before that sweep moves its belief again
+        vol = pixel_volume(np.random.default_rng(38).uniform(0, 1, size=(7, 9, 5)))
+        cfg = BpConfig(epsilon=0.05)
+        relabeled, original = [], bp_engine._relabel
+
+        def recording(volume, fld, labels, changed):
+            relabeled.append(int(changed.sum()))
+            return original(volume, fld, labels, changed)
+
+        monkeypatch.setattr(bp_engine, "_relabel", recording)
+        trace = []
+        run_bp(vol, MessageField(7, 9, 5), cfg, 12, trace=trace)
+        assert any(relabeled[:-1])  # the last call relabels the last sweep's changes
+        monkeypatch.undo()
+        assert trace == _reference_trace(vol, cfg, 12)[0]
+
+    @pytest.mark.parametrize("traced", [False, True])
+    def test_labels_kept_only_when_tracing(self, monkeypatch, traced):
+        # untraced, no sweep computes labels; traced, the first sweep has
+        # none yet and every later one writes into the same labeling
+        vol = pixel_volume(np.random.default_rng(38).uniform(0, 1, size=(7, 9, 5)))
+        seen, original = [], bp_engine.sweep
+
+        def recording(volume, fld, mask, config):
+            seen.append(mask.labels)
+            return original(volume, fld, mask, config)
+
+        monkeypatch.setattr(bp_engine, "sweep", recording)
+        run_bp(vol, MessageField(7, 9, 5), BpConfig(epsilon=0.0), 6,
+               trace=[] if traced else None)
+        assert len(seen) == 6 and seen[0] is None
+        if traced:
+            assert all(labels is seen[1] for labels in seen[2:])
+            assert seen[1].shape == (7, 9) and seen[1].dtype == np.int32
+        else:
+            assert all(labels is None for labels in seen)
 
     def test_max_delta_is_zero_once_no_message_moved(self, monkeypatch):
         # the fast 64x48 golden run (ncc volume, epsilon 1e-3): the last
@@ -699,6 +786,27 @@ class TestLabelingEnergy:
                         want += smoothness_cost(labels[y, x], labels[y + 1, x], p)
             got = labeling_energy(vol, DisparityMap(labels), p)
             assert got == pytest.approx(want, abs=1e-9)
+
+    @pytest.mark.parametrize("smooth", [SmoothnessParams(0.37, 1.3), SmoothnessParams(1, 2)],
+                             ids=["float", "int"])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("shape", [(1, 1), (1, 17), (17, 1), (7, 9)])
+    def test_kept_terms_match_a_fresh_build(self, shape, dtype, smooth):
+        # terms updated at relabeled pixels equal those built from the new
+        # labels, dtypes included, and so does their total, bit for bit
+        rng = np.random.default_rng(42)
+        vol = pixel_volume(rng.uniform(0, 3, size=(*shape, 5)).astype(dtype))
+        labels = rng.integers(0, 5, size=shape).astype(np.int32)
+        terms = bp_engine._EnergyTerms(vol, labels, smooth)
+        for _ in range(4):
+            flat = np.flatnonzero(rng.uniform(size=shape) < 0.3)
+            labels.reshape(-1)[flat] = rng.integers(0, 5, size=flat.size)
+            terms.update(flat)
+            fresh = bp_engine._EnergyTerms(vol, labels.copy(), smooth)
+            for name in ("data", "dh", "dv"):
+                got, want = getattr(terms, name), getattr(fresh, name)
+                assert got.dtype == want.dtype and np.array_equal(got, want)
+            assert terms.total() == labeling_energy(vol, DisparityMap(labels), smooth)
 
     def test_float32_costs_summed_in_float64(self):
         rng = np.random.default_rng(36)

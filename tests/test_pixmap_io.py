@@ -158,6 +158,11 @@ def test_disparity_scaling(tmp_path, scale):
     back = read_disparity_pgm(path, scale_factor=scale)
     assert np.array_equal(back.labels, dm.labels)
     assert type(back.scale_factor) is int and back.scale_factor == 8
+    # assigned after construction, as the benchmark fixture does
+    dm = DisparityMap(dm.labels)
+    dm.scale_factor = scale
+    write_pgm(dm, path)
+    assert read_pgm(path).samples.tolist() == [[0, 8], [16, 24]]
 
 
 @pytest.mark.filterwarnings("error")
@@ -171,6 +176,11 @@ def test_disparity_scale_must_be_an_integer_from_one(tmp_path, scale):
         read_disparity_pgm(path, scale_factor=scale)
     with pytest.raises(ValueError, match="scale_factor must be an integer >= 1"):
         DisparityMap(np.array([[1, 3]], dtype=np.int32), scale_factor=scale)
+    # a dataclass field can be assigned after construction
+    dm = DisparityMap(np.array([[1, 3]], dtype=np.int32))
+    dm.scale_factor = scale
+    with pytest.raises(ValueError, match="scale_factor must be an integer >= 1"):
+        write_pgm(dm, path)
 
 
 def test_disparity_overflow():
